@@ -502,6 +502,16 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(
+            "error: out of memory; the input needs larger counting tables than fit "
+            "(try a smaller quota or fewer players)",
+            file=sys.stderr,
+        )
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def console_main() -> None:

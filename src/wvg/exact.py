@@ -14,9 +14,11 @@ bucket loses nothing and memory stays O(quota) per size class.
 from __future__ import annotations
 
 import decimal
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from .errors import SizeLimitError, WvgError
@@ -106,8 +108,9 @@ def shapley_value_from_pivots(counts_by_size, num_players: int) -> Fraction:
 
 # --- counting tables --------------------------------------------------------
 #
-# These are shared with the manipulation scans, which extend and window them
-# incrementally instead of rebuilding a table per candidate split.
+# These are shared with the manipulation scans, which build one table per
+# game, take players out of it by deconvolution and read windows of it,
+# instead of rebuilding a table per player or per candidate split.
 
 def subset_weight_counts(weights, cap: int) -> list[int]:
     """vec[x] = number of subsets of ``weights`` with total weight x.
@@ -145,6 +148,26 @@ def remove_weight(vec, w: int, cap: int) -> list[int]:
     return out
 
 
+def remove_weight_rows(rows, w: int, cap: int) -> Iterator[list[int]]:
+    """Invert one player of weight ``w`` out of a ``subset_size_weight_counts`` table.
+
+    The size-by-weight form of ``remove_weight``: below the bucket,
+    ``out[k][x] = rows[k][x] - out[k-1][x-w]``. Yields one row fewer than
+    ``rows``, in order of size k, each as soon as it is known, so a caller
+    that reads them in turn holds one derived row, not a second table. Every
+    bucket entry is 0 because it is not recoverable.
+    """
+    prev = None
+    for row in rows[:-1]:
+        if prev is None or w >= cap:
+            cur = row[:cap]
+        else:
+            cur = row[:w] + [a - b for a, b in zip(row[w:cap], prev)]
+        cur.append(0)
+        yield cur
+        prev = cur
+
+
 def subset_size_weight_counts(weights, cap: int) -> list[list[int]]:
     """rows[k][x] = number of size-k subsets of ``weights`` with weight x.
 
@@ -170,6 +193,9 @@ def subset_size_weight_counts(weights, cap: int) -> list[list[int]]:
     return rows
 
 
+# ``prefix_sums`` and ``window_sum`` are unused by the package; they stay
+# because perfbench/spans.py traces both by name.
+
 def prefix_sums(vec) -> list[int]:
     out = [0] * len(vec)
     acc = 0
@@ -177,6 +203,18 @@ def prefix_sums(vec) -> list[int]:
         acc += v
         out[i] = acc
     return out
+
+
+def window_prefix_sums(vec, lo: int, hi: int) -> list[int]:
+    """[P(lo), ..., P(hi)] for the prefix sums P of ``vec``, with P(x) = 0 for x < 0.
+
+    Costs one C-level sum below the window plus O(hi - lo) Python additions,
+    so a caller that only looks inside a window never prefix-sums the table.
+    Requires ``lo <= hi`` and ``0 <= hi < len(vec)``.
+    """
+    start = max(lo, 0)
+    head = sum(vec[:start + 1])
+    return [0] * (start - lo) + list(accumulate(vec[start + 1:hi + 1], initial=head))
 
 
 def window_sum(pref, lo: int, hi: int) -> int:
@@ -289,20 +327,38 @@ def banzhaf_counts_dp(game: Game, player: int) -> int:
 
 
 def shapley_dp_vector(game: Game) -> IndexVector:
-    values = tuple(shapley_dp(game, i) for i in range(game.num_players))
-    return IndexVector(IndexKind.SHAPLEY_SHUBIK, values)
+    """Every player's Shapley-Shubik index from one counting table per game.
+
+    The size-by-weight table over all n players is built once; each player is
+    then removed from it by deconvolution (``remove_weight_rows``) in O(n * q)
+    instead of a fresh O(n^2 * q) build, so the whole vector costs O(n^2 * q)
+    for quota q.
+    """
+    n = game.num_players
+    cap = game.quota
+    rows = subset_size_weight_counts(game.weights, cap)
+    values = []
+    for w in game.weights:
+        lo, hi = criticality_window(cap, w)
+        pivots = [sum(r[lo:hi + 1]) for r in remove_weight_rows(rows, w, cap)]
+        values.append(shapley_value_from_pivots(pivots, n))
+    return IndexVector(IndexKind.SHAPLEY_SHUBIK, tuple(values))
+
+
+def critical_counts_from_table(vec, weights, cap: int) -> tuple[int, ...]:
+    """Every player's critical-coalition count from the full ``subset_weight_counts``."""
+    counts = []
+    for w in weights:
+        without = remove_weight(vec, w, cap)
+        lo, hi = criticality_window(cap, w)
+        counts.append(sum(without[lo:hi + 1]))
+    return tuple(counts)
 
 
 def banzhaf_counts_dp_vector(game: Game) -> CriticalCounts:
     # One full table, then one O(quota) removal per player.
-    cap = game.quota
-    vec = subset_weight_counts(game.weights, cap)
-    counts = []
-    for i, w in enumerate(game.weights):
-        without = remove_weight(vec, w, cap)
-        lo, hi = criticality_window(cap, w)
-        counts.append(sum(without[lo:hi + 1]))
-    return CriticalCounts(tuple(counts))
+    vec = subset_weight_counts(game.weights, game.quota)
+    return CriticalCounts(critical_counts_from_table(vec, game.weights, game.quota))
 
 
 def normalize_banzhaf(counts: CriticalCounts) -> IndexVector:

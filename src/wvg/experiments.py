@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import InvalidConfigError, ResourceLimitError
 from .exact import IndexKind
 from .game import Game
-from .manipulation import Engine, ScanSummary, scan_two_way_splits
+from .manipulation import Engine, ScanSummary, scan_two_way_splits, two_way_table
 from .montecarlo import McConfig, derive_seed
 
 HISTOGRAM_BINS = 200
@@ -146,9 +146,16 @@ def scan_game(
     mc_config: McConfig | None = None,
     margin: Fraction | None = None,
 ) -> GameRecord:
-    """Scan all two-way splits of every player and fold them into one record."""
+    """Scan all two-way splits of every player and fold them into one record.
+
+    The exact engine builds one counting table for the game and shares it
+    across every player's scan.
+    """
+    table = two_way_table(game, kind) if Engine(engine) is Engine.EXACT else None
     scans = tuple(
-        scan_two_way_splits(game, p, kind, engine=engine, mc_config=mc_config, margin=margin)
+        scan_two_way_splits(
+            game, p, kind, engine=engine, mc_config=mc_config, margin=margin, table=table
+        )
         for p in range(game.num_players)
     )
     beneficial = sum(s.beneficial for s in scans)

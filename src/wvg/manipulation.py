@@ -5,11 +5,13 @@ split finder, merge and annexation benefit checks, bound verification for
 two-way splits, special-case split recommendations, and the PARTITION-based
 instance generators.
 
-Two-way scans do not rebuild an index table per candidate split. The counting
-table over the non-manipulator players is built once; each candidate's values
-then come from O(n) prefix-sum window lookups, because a split identity's
-critical coalitions are exactly the base-table coalitions in its criticality
-window, with or without the partner identity shifting the window.
+Two-way scans do not rebuild an index table per candidate split. One counting
+table per game (``two_way_table``) is shared by every player's scan; each
+player is removed from it by deconvolution, and one O(n * w) pass over the
+player's weight-w criticality window builds a profile of prefix sums. Each
+candidate then costs O(1) lookups into that profile, because a split
+identity's critical coalitions are exactly the base-table coalitions in its
+criticality window, with or without the partner identity shifting the window.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ from .exact import (
     IndexKind,
     criticality_window,
     critical_counts,
+    critical_counts_from_table,
     index,
-    prefix_sums,
     remove_weight,
+    remove_weight_rows,
     shapley_dp,
     shapley_value_from_pivots,
     subset_size_weight_counts,
     subset_weight_counts,
-    window_sum,
+    window_prefix_sums,
 )
 from .game import Game, SplitSpec, apply_merge, apply_split, validate_coalition
 from .montecarlo import McConfig, banzhaf_mc, derive_seed, shapley_mc
@@ -155,66 +158,85 @@ def _check_player(game: Game, player: int) -> None:
 
 # --- exact two-way candidate values ------------------------------------------
 
-def _two_way_shapley_values(game: Game, player: int):
-    """Return the baseline value and an after-total function over one shared table."""
+def two_way_table(game: Game, kind: IndexKind | str):
+    """The counting table every exact two-way scan of ``game`` reads.
+
+    Shapley-Shubik: ``subset_size_weight_counts`` over all players. Banzhaf:
+    ``subset_weight_counts`` over all players, paired with every player's
+    critical-coalition count. Build it once per game and hand it to each
+    player's ``scan_two_way_splits(..., table=...)``.
+    """
+    if IndexKind(kind) is IndexKind.SHAPLEY_SHUBIK:
+        return subset_size_weight_counts(game.weights, game.quota)
+    vec = subset_weight_counts(game.weights, game.quota)
+    return vec, critical_counts_from_table(vec, game.weights, game.quota)
+
+
+def _two_way_shapley_values(game: Game, player: int, table):
+    """Return the baseline value and an O(1) after-total function.
+
+    With P_k the prefix sums of row k of the table without the player, and
+    F1(x) = sum_k k!(n-k)! P_k(x), F2(x) = sum_k (k+1)!(n-k-1)! P_k(x), the
+    split (own, partner) of weight w contributes, over (n+1)!,
+    F1(q-1) - F1(q-1-own) + F2(q-1-partner) - F2(q-w-1): the identity's
+    coalitions without the partner, then with it. F1 and F2 are only needed
+    on [q-w-1, q-1], stored at offset x - (q-w-1).
+    """
     n = game.num_players
     quota = game.quota
     w = game.weights[player]
-    others = [x for i, x in enumerate(game.weights) if i != player]
-    rows = subset_size_weight_counts(others, quota)
-    lo, hi = criticality_window(quota, w)
-    before = shapley_value_from_pivots(
-        [sum(rows[k][lo:hi + 1]) for k in range(n)], n
-    )
-    pref = [prefix_sums(r) for r in rows]
     fact = [math.factorial(i) for i in range(n + 2)]
+    f1 = [0] * (w + 1)
+    f2 = [0] * (w + 1)
+    pivots = []
+    for k, row in enumerate(remove_weight_rows(table, w, quota)):
+        pref = window_prefix_sums(row, quota - w - 1, quota - 1)
+        pivots.append(pref[w] - pref[0])
+        c1 = fact[k] * fact[n - k]
+        c2 = fact[k + 1] * fact[n - k - 1]
+        f1 = [f + c1 * p for f, p in zip(f1, pref)]
+        f2 = [f + c2 * p for f, p in zip(f2, pref)]
+    before = shapley_value_from_pivots(pivots, n)
+    # Summed over both orders of (own, partner) = (j, w - j):
+    # num(j) = 2 * (F1(q-1) - F2(q-w-1)) + G(j) + G(w-j), with G = F2 - F1.
+    base = 2 * (f1[w] - f2[0])
+    g = [b - a for a, b in zip(f1, f2)]
     full_denominator = fact[n + 1]
 
     def after_total(j: int) -> Fraction:
-        num = 0
-        for own, partner in ((j, w - j), (w - j, j)):
-            for k in range(n + 1):
-                c = window_sum(pref[k], quota - own, quota - 1) if k < n else 0
-                if k >= 1:
-                    c += window_sum(pref[k - 1], quota - w, quota - 1 - partner)
-                if c:
-                    num += c * fact[k] * fact[n - k]
-        return Fraction(num, full_denominator)
+        return Fraction(base + g[j] + g[w - j], full_denominator)
 
     return before, after_total
 
 
-def _two_way_banzhaf_values(game: Game, player: int):
-    """Same shape as the Shapley variant, for normalized Banzhaf values."""
+def _two_way_banzhaf_values(game: Game, player: int, table):
+    """Same shape as the Shapley variant, for normalized Banzhaf values.
+
+    The identities' counts always sum to twice the player's count eta_p.
+    Every other player i's count after the split (a, b) is its count in the
+    game without i and the manipulator, over the window [q-w_i, q-1] shifted
+    down by each of 0, a, b and w. H(s) sums those windows over i for one
+    shift s, so a candidate's total is 2 * eta_p + H(0) + H(a) + H(b) + H(w).
+    """
     quota = game.quota
     w = game.weights[player]
-    vec_full = subset_weight_counts(game.weights, quota)
-    etas = []
-    for i, wi in enumerate(game.weights):
-        without = remove_weight(vec_full, wi, quota)
-        lo, hi = criticality_window(quota, wi)
-        etas.append(sum(without[lo:hi + 1]))
-    before = Fraction(etas[player], sum(etas))
+    vec_full, etas = table
+    eta = etas[player]
+    before = Fraction(eta, sum(etas))
 
     vec_rest = remove_weight(vec_full, w, quota)
-    pre_rest = prefix_sums(vec_rest)
-    other_weights = [x for i, x in enumerate(game.weights) if i != player]
-    pre_loo = [prefix_sums(remove_weight(vec_rest, wi, quota)) for wi in other_weights]
+    h = [0] * (w + 1)
+    for i, wi in enumerate(game.weights):
+        if i == player:
+            continue
+        # P over [q-wi-1-w, q-1], so H(s) += P(q-1-s) - P(q-wi-1-s) reads
+        # pref[wi+w-s] - pref[w-s].
+        without = remove_weight(vec_rest, wi, quota)
+        pref = window_prefix_sums(without, quota - wi - 1 - w, quota - 1)
+        h = [x + up - down for x, up, down in zip(h, reversed(pref), reversed(pref[:w + 1]))]
 
     def after_total(j: int) -> Fraction:
-        a, b = j, w - j
-        eta_a = window_sum(pre_rest, quota - a, quota - 1) + window_sum(
-            pre_rest, quota - w, quota - 1 - b
-        )
-        eta_b = window_sum(pre_rest, quota - b, quota - 1) + window_sum(
-            pre_rest, quota - w, quota - 1 - a
-        )
-        total = eta_a + eta_b
-        for wi, pre in zip(other_weights, pre_loo):
-            lo = quota - wi
-            for shift in (0, a, b, w):
-                total += window_sum(pre, lo - shift, quota - 1 - shift)
-        return Fraction(eta_a + eta_b, total)
+        return Fraction(2 * eta, 2 * eta + h[0] + h[j] + h[w - j] + h[w])
 
     return before, after_total
 
@@ -260,12 +282,17 @@ def scan_two_way_splits(
     mc_config: McConfig | None = None,
     margin: Fraction | None = None,
     workers: int | None = None,
+    *,
+    table=None,
 ) -> ScanSummary:
     """Evaluate every unordered integer split (j, w - j), j = 1 .. floor(w/2).
 
     A weight-1 player has no candidates and yields an empty summary. The exact
     engine classifies by strict rational comparison; the Monte-Carlo engine
-    uses ``margin`` (default twice the configured epsilon).
+    uses ``margin`` (default twice the configured epsilon). ``table``, if
+    given, must be ``two_way_table(game, kind)``; scanning several players of
+    one game with it builds the table once instead of once per player. The
+    results are identical either way.
     """
     kind = IndexKind(kind)
     engine = Engine(engine)
@@ -275,10 +302,12 @@ def scan_two_way_splits(
     if engine is Engine.MONTE_CARLO:
         return _scan_two_way_mc(game, player, kind, candidates, mc_config, margin, workers)
 
+    if table is None:
+        table = two_way_table(game, kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:
-        before, after_total = _two_way_shapley_values(game, player)
+        before, after_total = _two_way_shapley_values(game, player, table)
     else:
-        before, after_total = _two_way_banzhaf_values(game, player)
+        before, after_total = _two_way_banzhaf_values(game, player, table)
     reports = [
         _report(SplitSpec(player, (j, w - j)), before, after_total(j), engine, None)
         for j in candidates
@@ -290,6 +319,22 @@ def _mc_value(game, player, kind, config, workers) -> Fraction:
     if kind is IndexKind.SHAPLEY_SHUBIK:
         return shapley_mc(game, player, config, workers).value
     return banzhaf_mc(game, config, workers)[player]
+
+
+def _mc_split_total(outcome, kind, cfg, workers) -> Fraction:
+    """Estimated total index of a two-way split's new identities.
+
+    Shapley estimates the two identities separately, the second at seed + 1;
+    Banzhaf sums one estimated vector.
+    """
+    if kind is IndexKind.SHAPLEY_SHUBIK:
+        a, b = outcome.new_players
+        return (
+            shapley_mc(outcome.game, a, cfg, workers).value
+            + shapley_mc(outcome.game, b, replace(cfg, seed=cfg.seed + 1), workers).value
+        )
+    vec = banzhaf_mc(outcome.game, cfg, workers)
+    return sum(vec[p] for p in outcome.new_players)
 
 
 def _scan_two_way_mc(game, player, kind, candidates, mc_config, margin, workers) -> ScanSummary:
@@ -304,17 +349,8 @@ def _scan_two_way_mc(game, player, kind, candidates, mc_config, margin, workers)
     w = game.weights[player]
     for j in candidates:
         spec = SplitSpec(player, (j, w - j))
-        outcome = apply_split(game, spec)
         cfg = replace(mc_config, seed=derive_seed(mc_config.seed, "split", player, j))
-        if kind is IndexKind.SHAPLEY_SHUBIK:
-            a, b = outcome.new_players
-            after = (
-                shapley_mc(outcome.game, a, cfg, workers).value
-                + shapley_mc(outcome.game, b, replace(cfg, seed=cfg.seed + 1), workers).value
-            )
-        else:
-            vec = banzhaf_mc(outcome.game, cfg, workers)
-            after = sum(vec[p] for p in outcome.new_players)
+        after = _mc_split_total(apply_split(game, spec), kind, cfg, workers)
         reports.append(_report(spec, before, after, Engine.MONTE_CARLO, margin))
     return _summarize(player, kind, Engine.MONTE_CARLO, reports)
 
@@ -388,18 +424,8 @@ def find_split_approx(
     w = game.weights[player]
     for j in range(1, w // 2 + 1):
         spec = SplitSpec(player, (j, w - j))
-        outcome = apply_split(game, spec)
         cfg = replace(config, seed=derive_seed(seed, "findsplit", player, j))
-        if kind is IndexKind.SHAPLEY_SHUBIK:
-            a, b = outcome.new_players
-            v = (
-                shapley_mc(outcome.game, a, cfg, workers).value
-                + shapley_mc(outcome.game, b, replace(cfg, seed=cfg.seed + 1), workers).value
-            )
-        else:
-            vec = banzhaf_mc(outcome.game, cfg, workers)
-            v = sum(vec[p] for p in outcome.new_players)
-        if v > baseline + margin:
+        if _mc_split_total(apply_split(game, spec), kind, cfg, workers) > baseline + margin:
             return spec
     return None
 

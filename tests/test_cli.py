@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+import wvg.cli as cli_mod
 import wvg.verify as verify_mod
 from wvg.cli import main
 from wvg.verify import FixtureResult
@@ -180,6 +183,22 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "fixtures")
         assert code == 1
         assert "FAIL" in out and "deliberately-broken" in out
+
+
+class TestResourceExits:
+    @pytest.mark.parametrize(
+        "exc, code, message",
+        [(MemoryError, 1, "error: out of memory"), (KeyboardInterrupt, 130, "interrupted")],
+    )
+    def test_one_line_diagnostic_without_traceback(self, capsys, monkeypatch, exc, code, message):
+        def handler(args):
+            raise exc()
+
+        monkeypatch.setitem(cli_mod._HANDLERS, "index", handler)
+        got, out, err = run_cli(capsys, "index", "--game", "6;2,2,2")
+        assert got == code and out == ""
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestThreadDefaults:

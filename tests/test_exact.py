@@ -23,7 +23,12 @@ from wvg import (
     shapley_enumerate,
     shapley_pivot_table,
 )
-from wvg.exact import fraction_to_decimal
+from wvg.exact import (
+    fraction_to_decimal,
+    remove_weight_rows,
+    subset_size_weight_counts,
+    window_prefix_sums,
+)
 
 from _oracles import (
     banzhaf_counts_by_subsets,
@@ -160,6 +165,28 @@ class TestOracleEquivalence:
             game = random_game(rng, max_players=12, max_weight=30, min_players=10)
             assert shapley_dp_vector(game) == shapley_enumerate(game)
             assert banzhaf_counts_dp_vector(game) == banzhaf_counts_enumerate(game)
+
+
+class TestCountingTables:
+    @given(games)
+    @settings(max_examples=80, deadline=None)
+    def test_remove_weight_rows_inverts_adding_a_player(self, game):
+        q = game.quota
+        rows = subset_size_weight_counts(game.weights, q)
+        for p, w in enumerate(game.weights):
+            others = [x for i, x in enumerate(game.weights) if i != p]
+            removed = list(remove_weight_rows(rows, w, q))
+            expected = subset_size_weight_counts(others, q)
+            assert len(removed) == len(expected)
+            assert [r[:q] for r in removed] == [r[:q] for r in expected]
+
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=30), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_window_prefix_sums(self, vec, data):
+        hi = data.draw(st.integers(0, len(vec) - 1))
+        lo = data.draw(st.integers(-40, hi))
+        expected = [sum(vec[:x + 1]) if x >= 0 else 0 for x in range(lo, hi + 1)]
+        assert window_prefix_sums(vec, lo, hi) == expected
 
 
 class TestIndexAxioms:

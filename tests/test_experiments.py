@@ -13,13 +13,21 @@ from wvg import (
     IndexKind,
     InvalidConfigError,
     ResourceLimitError,
+    SplitSpec,
+    banzhaf_counts_dp_vector,
     export_stats,
     generate_game,
+    normalize_banzhaf,
     run_experiment,
     scan_game,
+    scan_two_way_splits,
+    shapley_dp_vector,
     stats_from_json,
 )
 from wvg.experiments import HISTOGRAM_BINS, histogram_bin, round_half_away
+from wvg.game import apply_split
+
+from _oracles import banzhaf_by_subsets, random_game, shapley_by_subsets
 
 SH = IndexKind.SHAPLEY_SHUBIK
 BZ = IndexKind.BANZHAF
@@ -94,6 +102,43 @@ class TestScanGame:
         record = scan_game(Game(17, (9, 4, 3, 2)), BZ)
         for s in record.scans:
             assert s.beneficial + s.harmful + s.neutral == s.total_splits
+
+    @pytest.mark.parametrize("kind", [SH, BZ])
+    def test_shared_table_matches_per_player_scans_and_oracle(self, kind):
+        oracle = shapley_by_subsets if kind is SH else banzhaf_by_subsets
+        rng = random.Random(41)
+        for _ in range(20):
+            game = random_game(rng, max_players=8, max_weight=12)
+            record = scan_game(game, kind)
+            assert record.scans == tuple(
+                scan_two_way_splits(game, p, kind) for p in range(game.num_players)
+            )
+            before = oracle(game)
+            for p, scan in enumerate(record.scans):
+                w = game.weights[p]
+                rest = tuple(x for i, x in enumerate(game.weights) if i != p)
+                for report in scan.reports:
+                    j = report.spec.parts[0]
+                    after = oracle(Game(game.quota, rest + (j, w - j)))
+                    assert report.payoff_before == before[p]
+                    assert report.payoff_after_total == after[-1] + after[-2]
+
+    def test_shared_table_matches_rebuilt_games_beyond_enumeration(self):
+        rng = random.Random(43)
+        weights = tuple(rng.randint(1, 14) for _ in range(18))
+        game = Game(sum(weights) // 2 + 3, weights)
+        sh_before = shapley_dp_vector(game)
+        bz_before = normalize_banzhaf(banzhaf_counts_dp_vector(game))
+        for kind, before, engine in (
+            (SH, sh_before, shapley_dp_vector),
+            (BZ, bz_before, lambda g: normalize_banzhaf(banzhaf_counts_dp_vector(g))),
+        ):
+            for p, scan in enumerate(scan_game(game, kind).scans):
+                for report in scan.reports:
+                    outcome = apply_split(game, SplitSpec(p, report.spec.parts))
+                    vec = engine(outcome.game)
+                    assert report.payoff_before == before[p]
+                    assert report.payoff_after_total == sum(vec[i] for i in outcome.new_players)
 
 
 class TestRunner:
