@@ -12,6 +12,11 @@ player's weight-w criticality window builds a profile of prefix sums. Each
 candidate then costs O(1) lookups into that profile, because a split
 identity's critical coalitions are exactly the base-table coalitions in its
 criticality window, with or without the partner identity shifting the window.
+Banzhaf profiles read the table without each pair of players; the Banzhaf
+table builds every player's profile in one pass over unordered pairs, so one
+removal of a pair serves both of its players (n(n+1)/2 removals per game).
+Exact candidates are classified by comparing two rationals; only the
+Monte-Carlo engine applies a margin.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .exact import (
     IndexKind,
     criticality_window,
     critical_counts,
-    critical_counts_from_table,
     index,
     remove_weight,
     remove_weight_rows,
@@ -141,10 +145,12 @@ def _player_values(game: Game, players, kind: IndexKind) -> dict[int, Fraction]:
     return {p: vec[p] for p in players}
 
 
-def _classify(before: Fraction, after: Fraction, margin: Fraction) -> Classification:
-    if after > before + margin:
+def _classify(before: Fraction, after: Fraction, margin: Fraction | None) -> Classification:
+    """Strict comparison when ``margin`` is None (exact), else outside +-margin."""
+    high, low = (before, before) if margin is None else (before + margin, before - margin)
+    if after > high:
         return Classification.BENEFICIAL
-    if after < before - margin:
+    if after < low:
         return Classification.HARMFUL
     return Classification.NEUTRAL
 
@@ -162,14 +168,54 @@ def two_way_table(game: Game, kind: IndexKind | str):
     """The counting table every exact two-way scan of ``game`` reads.
 
     Shapley-Shubik: ``subset_size_weight_counts`` over all players. Banzhaf:
-    ``subset_weight_counts`` over all players, paired with every player's
-    critical-coalition count. Build it once per game and hand it to each
-    player's ``scan_two_way_splits(..., table=...)``.
+    ``(vec, etas, profiles)``, the ``subset_weight_counts`` over all players,
+    every player's critical-coalition count, and every player's window
+    profile H, built in one pass over unordered pairs of players (see
+    ``_banzhaf_table``). Build it once per game and hand it to each player's
+    ``scan_two_way_splits(..., table=...)``.
     """
     if IndexKind(kind) is IndexKind.SHAPLEY_SHUBIK:
         return subset_size_weight_counts(game.weights, game.quota)
-    vec = subset_weight_counts(game.weights, game.quota)
-    return vec, critical_counts_from_table(vec, game.weights, game.quota)
+    return _banzhaf_table(game, range(game.num_players))
+
+
+def _banzhaf_table(game: Game, players):
+    """``(vec, etas, profiles)`` with a profile H for each of ``players`` only.
+
+    H_p(s) sums, over every other player i, the table without {p, i} over
+    i's criticality window shifted down by s, for s in 0 .. w_p. One removal
+    of the pair and one prefix window over [q-w_p-w_i-1, q-1] serve both
+    ends: p adds P(q-1-s) - P(q-w_i-1-s) and i adds P(q-1-s) - P(q-w_p-1-s).
+    Each player is removed from the full table once, which also gives its
+    count eta; each pair touching ``players`` is removed from that once. All
+    players: n(n+1)/2 removals; one player: 2n - 1.
+    """
+    weights, quota = game.weights, game.quota
+    n = len(weights)
+    wanted = set(players)
+    vec = subset_weight_counts(weights, quota)
+    etas = []
+    profiles = {p: [0] * (weights[p] + 1) for p in wanted}
+    for p, wp in enumerate(weights):
+        without_p = remove_weight(vec, wp, quota)
+        lo, hi = criticality_window(quota, wp)
+        etas.append(sum(without_p[lo:hi + 1]))
+        for i in range(p + 1, n):
+            if p not in wanted and i not in wanted:
+                continue
+            wi = weights[i]
+            without_pi = remove_weight(without_p, wi, quota)
+            pref = window_prefix_sums(without_pi, quota - wp - wi - 1, quota - 1)
+            # pref is offset by q-w_p-w_i-1: P(q-1-s) is pref[w_p+w_i-s], and
+            # for the end `me`, P(q-w_other-1-s) is pref[w_me-s].
+            for me in (p, i):
+                h = profiles.get(me)
+                if h is not None:
+                    profiles[me] = [
+                        x + up - down
+                        for x, up, down in zip(h, reversed(pref), reversed(pref[:len(h)]))
+                    ]
+    return vec, tuple(etas), profiles
 
 
 def _two_way_shapley_values(game: Game, player: int, table):
@@ -215,25 +261,15 @@ def _two_way_banzhaf_values(game: Game, player: int, table):
     The identities' counts always sum to twice the player's count eta_p.
     Every other player i's count after the split (a, b) is its count in the
     game without i and the manipulator, over the window [q-w_i, q-1] shifted
-    down by each of 0, a, b and w. H(s) sums those windows over i for one
-    shift s, so a candidate's total is 2 * eta_p + H(0) + H(a) + H(b) + H(w).
+    down by each of 0, a, b and w. The table's profile H sums those windows
+    over i for one shift s, so a candidate's total is
+    2 * eta_p + H(0) + H(a) + H(b) + H(w).
     """
-    quota = game.quota
     w = game.weights[player]
-    vec_full, etas = table
+    _, etas, profiles = table
     eta = etas[player]
     before = Fraction(eta, sum(etas))
-
-    vec_rest = remove_weight(vec_full, w, quota)
-    h = [0] * (w + 1)
-    for i, wi in enumerate(game.weights):
-        if i == player:
-            continue
-        # P over [q-wi-1-w, q-1], so H(s) += P(q-1-s) - P(q-wi-1-s) reads
-        # pref[wi+w-s] - pref[w-s].
-        without = remove_weight(vec_rest, wi, quota)
-        pref = window_prefix_sums(without, quota - wi - 1 - w, quota - 1)
-        h = [x + up - down for x, up, down in zip(h, reversed(pref), reversed(pref[:w + 1]))]
+    h = profiles[player]
 
     def after_total(j: int) -> Fraction:
         return Fraction(2 * eta, 2 * eta + h[0] + h[j] + h[w - j] + h[w])
@@ -262,13 +298,12 @@ def _summarize(player, kind, engine, reports) -> ScanSummary:
 
 
 def _report(spec, before, after, engine, margin) -> SplitReport:
-    effective = margin if margin is not None else Fraction(0)
     return SplitReport(
         spec=spec,
         payoff_before=before,
         payoff_after_total=after,
         gain_ratio=(after / before) if before > 0 else None,
-        classification=_classify(before, after, effective),
+        classification=_classify(before, after, margin),
         engine=engine,
         margin=margin,
     )
@@ -302,11 +337,13 @@ def scan_two_way_splits(
     if engine is Engine.MONTE_CARLO:
         return _scan_two_way_mc(game, player, kind, candidates, mc_config, margin, workers)
 
-    if table is None:
-        table = two_way_table(game, kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:
+        if table is None:
+            table = two_way_table(game, kind)
         before, after_total = _two_way_shapley_values(game, player, table)
     else:
+        if table is None:
+            table = _banzhaf_table(game, (player,))
         before, after_total = _two_way_banzhaf_values(game, player, table)
     reports = [
         _report(SplitSpec(player, (j, w - j)), before, after_total(j), engine, None)
@@ -646,9 +683,15 @@ def reduction_gadget(
     split variants, the two-player coalition for the merge variant, and
     (annexer, annexed) for the annex variant. Instance weights map to players
     of weight 8*a_i. On a no-instance the designated players are dummies, so
-    nothing helps them. On a yes-instance the ss_split, merge, and annex
-    manipulations are strictly beneficial; the bi_split variant's only split
-    comes out exactly neutral, so it does not separate yes from no.
+    nothing helps them. On a yes-instance every variant's manipulation is
+    strictly beneficial. For bi_split, [4T+1; 8a_1, ..., 8a_k, 1, 2] with T
+    the instance sum: with x the number of base coalitions of instance sum
+    T/2, the weight-1 player and the manipulator each have count x, and base
+    player i has 4A_i (A_i counts base coalitions without i whose instance
+    sum lies in [T/2 - a_i + 1, T/2]). After the (1,1) split both identities
+    and the weight-1 player keep x while each base count doubles, so the
+    split's gain ratio is (4x + 2A)/(3x + 2A) with A = sum of 4A_i, above 1
+    exactly when x > 0.
     """
     variant = GadgetVariant(variant)
     values = tuple(instance)
@@ -660,7 +703,7 @@ def reduction_gadget(
     base = tuple(8 * a for a in values)
     k = len(values)
     if variant is GadgetVariant.BI_SPLIT:
-        return Game(4 * total + 2, base + (2,)), (k,)
+        return Game(4 * total + 1, base + (1, 2)), (k + 1,)
     if variant is GadgetVariant.SS_SPLIT:
         return Game(4 * total + 3, base + (1, 2)), (k + 1,)
     if variant is GadgetVariant.MERGE:

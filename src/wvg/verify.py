@@ -275,16 +275,16 @@ def _fx_gadget_yes_instance() -> FixtureResult:
     )
     game, players = reduction_gadget(instance, GadgetVariant.ANNEX)
     annex_ok = annex_benefit(game, players[0], {players[1]}, BZ).beneficial
-    # The bi_split construction is exactly neutral on yes-instances: both
-    # identities keep count x while every other player's count doubles.
+    # The bi_split identities keep count x, like the weight-1 player, while
+    # every base player's count doubles, so the (1,1) split gains.
     game, players = reduction_gadget(instance, GadgetVariant.BI_SPLIT)
     bi = scan_two_way_splits(game, players[0], BZ)
-    bi_ok = bi.neutral == 1 and bi.beneficial == 0
+    bi_ok = bi.beneficial == 1
     ok = ss_ok and merge_ok and annex_ok and bi_ok
     return _check(
         "gadget-yes-instance",
         ok,
-        f"ss={ss_ok} merge={merge_ok} annex={annex_ok} bi-neutral={bi_ok}",
+        f"ss={ss_ok} merge={merge_ok} annex={annex_ok} bi={bi_ok}",
     )
 
 

@@ -4,10 +4,9 @@ The two ``*_as_specified`` checks pin claims stated for the package. The
 two-way splits of [6;5,5] are checked against permutation enumeration in
 tests/_oracles.py: each split is harmful at ratio 2/3, and 4/3 is the gain
 of the player who does not split. The bi_split check asks that a beneficial
-Banzhaf split exists exactly on PARTITION yes-instances. It still fails,
-because the gadget as built gives an exactly neutral split on every
-yes-instance; it stays red until the gadget is replaced by one that
-separates yes from no. Each check's docstring carries its analysis.
+Banzhaf split exists exactly on PARTITION yes-instances, which the gadget
+[4T+1; 8a_1, ..., 8a_k, 1, 2] gives. Each check's docstring carries its
+analysis.
 """
 
 import random
@@ -279,13 +278,16 @@ def test_criterion_5_gadget_annex():
 
 
 def test_criterion_5_gadget_bi_split_as_specified():
-    """Expected-red check: bi_split decision equivalence.
+    """bi_split decision equivalence.
 
-    On every yes-instance the (1,1) split of the weight-2 player is exactly
-    neutral: the identities keep criticality count x while each original
-    player's count doubles from x + 2y_i to 2x + 4y_i, so the normalized
-    total is unchanged at x/(nx + 2y). The construction therefore answers
-    "no" on yes-instances and cannot match the decider.
+    The gadget [4T+1; 8a_1, ..., 8a_k, 1, 2] splits its weight-2 player.
+    With x the number of base coalitions of instance sum T/2, both (1,1)
+    identities and the weight-1 player keep criticality count x while every
+    base player's count doubles, so with A the base players' summed count
+    the gain ratio is (4x + 2A)/(3x + 2A): above 1 exactly when x > 0, that
+    is, on yes-instances. Without the weight-1 player
+    ([4T+2; 8a_1, ..., 8a_k, 2]) the split would be exactly neutral on every
+    instance, and this check would fail on every yes-instance.
     """
     mismatches = []
     for instance in GADGET_INSTANCES:

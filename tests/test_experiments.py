@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wvg import (
     Engine,
@@ -31,6 +33,26 @@ from _oracles import banzhaf_by_subsets, random_game, shapley_by_subsets
 
 SH = IndexKind.SHAPLEY_SHUBIK
 BZ = IndexKind.BANZHAF
+
+
+@st.composite
+def edge_games(draw):
+    """Games of at most 10 players that reach the scans' edge cases.
+
+    Weights come from a pool of at most three values plus optional weight-1
+    players, so repeated weights are common; the quota is 1, the largest
+    weight (so some weight meets it), the total weight, or anywhere between.
+    """
+    pool = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    ones = draw(st.integers(0, 10 - len(weights)))
+    weights = tuple(weights) + (1,) * ones
+    total = sum(weights)
+    quota = draw(
+        st.sampled_from([1, max(weights), total]) | st.integers(1, total)
+    )
+    return Game(quota, weights)
+
 
 TINY = ExperimentConfig(
     weight_mean=12.0,
@@ -122,6 +144,28 @@ class TestScanGame:
                     after = oracle(Game(game.quota, rest + (j, w - j)))
                     assert report.payoff_before == before[p]
                     assert report.payoff_after_total == after[-1] + after[-2]
+
+    @given(edge_games())
+    @settings(max_examples=40, deadline=None)
+    @example(Game(1, (1, 1, 3)))
+    @example(Game(12, (4, 4, 4)))
+    @example(Game(5, (7, 2, 2, 1)))
+    @example(Game(6, (6, 6, 6, 6, 6, 6, 6, 6, 6, 6)))
+    def test_banzhaf_game_table_matches_single_player_scans_and_oracle(self, game):
+        record = scan_game(game, BZ)
+        assert record.scans == tuple(
+            scan_two_way_splits(game, p, BZ) for p in range(game.num_players)
+        )
+        before = banzhaf_by_subsets(game)
+        for p, scan in enumerate(record.scans):
+            w = game.weights[p]
+            assert scan.total_splits == w // 2
+            rest = tuple(x for i, x in enumerate(game.weights) if i != p)
+            for report in scan.reports:
+                j = report.spec.parts[0]
+                after = banzhaf_by_subsets(Game(game.quota, rest + (j, w - j)))
+                assert report.payoff_before == before[p]
+                assert report.payoff_after_total == after[-1] + after[-2]
 
     def test_shared_table_matches_rebuilt_games_beyond_enumeration(self):
         rng = random.Random(43)

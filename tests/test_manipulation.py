@@ -28,6 +28,8 @@ from wvg import (
     scan_two_way_splits,
     unanimity_split_recommendation,
 )
+from wvg import manipulation
+from wvg.manipulation import two_way_table
 
 from _oracles import banzhaf_by_subsets, shapley_by_subsets
 
@@ -114,6 +116,45 @@ class TestTwoWayScan:
             vals = oracle(split)
             assert report.payoff_before == before
             assert report.payoff_after_total == vals[-1] + vals[-2]
+
+
+class TestBanzhafTableWork:
+    """The Banzhaf two-way tables remove each pair of players once."""
+
+    GAMES = [
+        Game(1, (3,)),
+        Game(17, (9, 4, 3, 2)),
+        Game(40, (12, 12, 7, 5, 5, 3, 1)),
+        Game(9, (8, 8, 1, 2)),
+    ]
+
+    @staticmethod
+    def _count_removals(monkeypatch):
+        calls = []
+        original = manipulation.remove_weight
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(manipulation, "remove_weight", counting)
+        return calls
+
+    @pytest.mark.parametrize("game", GAMES, ids=str)
+    def test_game_table_removes_each_pair_once(self, monkeypatch, game):
+        calls = self._count_removals(monkeypatch)
+        two_way_table(game, BZ)
+        n = game.num_players
+        assert len(calls) == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("game", GAMES, ids=str)
+    def test_single_player_scan_builds_one_profile(self, monkeypatch, game):
+        calls = self._count_removals(monkeypatch)
+        n = game.num_players
+        for player in range(n):
+            calls.clear()
+            scan_two_way_splits(game, player, BZ)
+            assert len(calls) <= 2 * n
 
 
 class TestKWayScan:
@@ -319,7 +360,7 @@ class TestRecommendations:
 class TestReductionGadgets:
     def test_constructed_games(self):
         game, players = reduction_gadget((1, 1), GadgetVariant.BI_SPLIT)
-        assert game == Game(10, (8, 8, 2)) and players == (2,)
+        assert game == Game(9, (8, 8, 1, 2)) and players == (3,)
         game, players = reduction_gadget((1, 1), GadgetVariant.SS_SPLIT)
         assert game == Game(11, (8, 8, 1, 2)) and players == (3,)
         game, players = reduction_gadget((1, 1), GadgetVariant.MERGE)
@@ -335,14 +376,26 @@ class TestReductionGadgets:
         assert report.beneficial
         assert report.payoff_after == 2 * report.payoff_before
 
-    def test_bi_split_yes_instance_is_exactly_neutral(self):
-        # both identities keep criticality count x while every original
-        # player's count doubles, so the normalized total is unchanged
+    def test_bi_split_yes_instance_gains(self):
+        # [9; 8, 8, 1, 2]: the weight-1 player and the manipulator each have
+        # count x = 2 and the base players 4; after the (1,1) split the
+        # identities and the weight-1 player keep 2 and the base players
+        # have 8, so the total goes from 2/12 to 4/22
         game, (player,) = reduction_gadget((1, 1), GadgetVariant.BI_SPLIT)
+        summary = scan_two_way_splits(game, player, BZ)
+        assert summary.total_splits == summary.beneficial == 1
+        report = summary.reports[0]
+        assert report.spec.parts == (1, 1)
+        assert report.payoff_before == Fraction(1, 6)
+        assert report.payoff_after_total == Fraction(2, 11)
+        assert report.gain_ratio == Fraction(12, 11)
+
+    def test_bi_split_no_instance_has_zero_payoffs(self):
+        game, (player,) = reduction_gadget((1, 2), GadgetVariant.BI_SPLIT)
         summary = scan_two_way_splits(game, player, BZ)
         assert summary.total_splits == summary.neutral == 1
         report = summary.reports[0]
-        assert report.payoff_before == report.payoff_after_total == Fraction(1, 3)
+        assert report.payoff_before == report.payoff_after_total == 0
 
     def test_no_instance_leaves_dummies(self):
         game, (player,) = reduction_gadget((1, 2), GadgetVariant.SS_SPLIT)
