@@ -374,24 +374,20 @@ def normalize_banzhaf(counts: CriticalCounts) -> IndexVector:
 
 # --- dispatcher --------------------------------------------------------------
 
-def critical_counts(game: Game, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CriticalCounts:
-    if game.num_players <= enumeration_limit:
-        return banzhaf_counts_enumerate(game, enumeration_limit)
+def critical_counts(game: Game) -> CriticalCounts:
+    if game.num_players <= DEFAULT_ENUMERATION_LIMIT:
+        return banzhaf_counts_enumerate(game)
     return banzhaf_counts_dp_vector(game)
 
 
-def index(
-    game: Game,
-    kind: IndexKind | str,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> IndexVector:
+def index(game: Game, kind: IndexKind | str) -> IndexVector:
     """Exact index of every player; enumeration below the limit, DP above.
 
-    The result is identical whichever engine runs.
+    Both engines agree exactly; below the limit enumeration is faster for Shapley-Shubik.
     """
     kind = IndexKind(kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:
-        if game.num_players <= enumeration_limit:
-            return shapley_enumerate(game, enumeration_limit)
+        if game.num_players <= DEFAULT_ENUMERATION_LIMIT:
+            return shapley_enumerate(game)
         return shapley_dp_vector(game)
-    return normalize_banzhaf(critical_counts(game, enumeration_limit))
+    return normalize_banzhaf(critical_counts(game))

@@ -173,12 +173,10 @@ def histogram_bin(fraction: Fraction) -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentStats:
-    per_cell: dict[tuple[float, int], list[GameRecord]] = {}
+    # (sigma, players) -> [games, games with a beneficial split, sum of beneficial fractions]
+    per_cell: dict[tuple[float, int], list] = {}
     histogram = [0] * HISTOGRAM_BINS
-    games_total = 0
-    games_with = 0
     splits = {"beneficial": 0, "harmful": 0, "neutral": 0, "total": 0}
-    frac_sum = Fraction(0)
     for sigma in config.weight_sigma_set:
         for g in range(config.games_per_cell):
             rng = random.Random(derive_seed("experiment-gen", config.seed, sigma, g))
@@ -198,44 +196,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentStats:
             record = scan_game(
                 game, config.kind, config.engine, mc_config, config.beneficial_margin
             )
-            per_cell.setdefault((sigma, game.num_players), []).append(record)
+            cell = per_cell.setdefault((sigma, game.num_players), [0, 0, Fraction(0)])
+            cell[0] += 1
+            cell[1] += record.has_beneficial
+            cell[2] += record.beneficial_fraction
             histogram[histogram_bin(record.beneficial_fraction)] += 1
-            games_total += 1
-            games_with += record.has_beneficial
             for s in record.scans:
                 splits["beneficial"] += s.beneficial
                 splits["harmful"] += s.harmful
                 splits["neutral"] += s.neutral
                 splits["total"] += s.total_splits
-            frac_sum += record.beneficial_fraction
-    cells = []
-    for sigma, n in sorted(per_cell):
-        records = per_cell[(sigma, n)]
-        cells.append(
-            CellStats(
-                sigma=sigma,
-                n_players=n,
-                games=len(records),
-                frac_with_beneficial=Fraction(
-                    sum(r.has_beneficial for r in records), len(records)
-                ),
-                mean_beneficial_fraction=sum(
-                    (r.beneficial_fraction for r in records), Fraction(0)
-                ) / len(records),
-            )
+    cells = [
+        CellStats(
+            sigma=sigma,
+            n_players=n,
+            games=games,
+            frac_with_beneficial=Fraction(with_beneficial, games),
+            mean_beneficial_fraction=frac_total / games,
         )
+        for (sigma, n), (games, with_beneficial, frac_total) in sorted(per_cell.items())
+    ]
     return ExperimentStats(
         kind=config.kind,
         engine=config.engine,
         cells=tuple(cells),
         histogram=tuple(histogram),
-        games_total=games_total,
-        games_with_beneficial=games_with,
+        games_total=sum(c[0] for c in per_cell.values()),
+        games_with_beneficial=sum(c[1] for c in per_cell.values()),
         splits_total=splits["total"],
         splits_beneficial=splits["beneficial"],
         splits_harmful=splits["harmful"],
         splits_neutral=splits["neutral"],
-        sum_beneficial_fraction=frac_sum,
+        sum_beneficial_fraction=sum((c[2] for c in per_cell.values()), Fraction(0)),
     )
 
 

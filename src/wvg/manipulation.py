@@ -5,18 +5,12 @@ split finder, merge and annexation benefit checks, bound verification for
 two-way splits, special-case split recommendations, and the PARTITION-based
 instance generators.
 
-Two-way scans do not rebuild an index table per candidate split. One counting
-table per game (``two_way_table``) is shared by every player's scan; each
-player is removed from it by deconvolution, and one O(n * w) pass over the
-player's weight-w criticality window builds a profile of prefix sums. Each
-candidate then costs O(1) lookups into that profile, because a split
-identity's critical coalitions are exactly the base-table coalitions in its
-criticality window, with or without the partner identity shifting the window.
-Banzhaf profiles read the table without each pair of players; the Banzhaf
-table builds every player's profile in one pass over unordered pairs, so one
-removal of a pair serves both of its players (n(n+1)/2 removals per game).
-Exact candidates are classified by comparing two rationals; only the
-Monte-Carlo engine applies a margin.
+Exact split scans, two-way and k-way alike, share one window engine: one
+counting table per game (``two_way_table``), each player taken out of it by
+deconvolution, and one lookup into the player's window profiles per subset of
+a split's parts (see the comment above ``two_way_table``). Exact candidates
+are classified by comparing two rationals; only the Monte-Carlo engine
+applies a margin.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from .errors import BoundViolationError, InvalidMergeError, InvalidSplitError
 from .exact import (
     DEFAULT_ENUMERATION_LIMIT,
     IndexKind,
-    criticality_window,
     critical_counts,
     index,
     remove_weight,
@@ -62,10 +55,14 @@ class SplitReport:
     spec: SplitSpec
     payoff_before: Fraction
     payoff_after_total: Fraction
-    gain_ratio: Fraction | None
     classification: Classification
     engine: Engine
     margin: Fraction | None = None
+
+    @property
+    def gain_ratio(self) -> Fraction | None:
+        """``payoff_after_total / payoff_before``; None when the payoff before is 0."""
+        return self.payoff_after_total / self.payoff_before if self.payoff_before > 0 else None
 
 
 @dataclass(frozen=True)
@@ -162,17 +159,25 @@ def _check_player(game: Game, player: int) -> None:
         )
 
 
-# --- exact two-way candidate values ------------------------------------------
+# --- exact split values ------------------------------------------------------
+# One engine scores a split of a weight-w player into any k parts. An
+# identity of part a is critical for a coalition of other players T plus a
+# set U of its partner identities exactly when w(T) lies in
+# [q - a - sum(U), q - 1 - sum(U)]. With V = U + {a} and P the prefix sums of
+# the table without the player, the identities' critical coalitions number
+# the sum over nonempty V and a in V of P(q-1-sum(V)+a) - P(q-1-sum(V)): one
+# lookup per subset U of the parts, weighted k - |U| (U = V - {a}, once per a
+# outside U) and -|U| (U = V). Shapley-Shubik weights a coalition by its size,
+# so there P becomes F_t, a weighted sum of the table's size rows with
+# t = |V| - 1. Lookups lie in [q-w-1, q-1], so each profile is a window of
+# w + 1 entries, reversed to be indexed by sum(U).
 
 def two_way_table(game: Game, kind: IndexKind | str):
-    """The counting table every exact two-way scan of ``game`` reads.
+    """The counting table every exact split scan of ``game`` reads.
 
-    Shapley-Shubik: ``subset_size_weight_counts`` over all players. Banzhaf:
-    ``(vec, etas, profiles)``, the ``subset_weight_counts`` over all players,
-    every player's critical-coalition count, and every player's window
-    profile H, built in one pass over unordered pairs of players (see
-    ``_banzhaf_table``). Build it once per game and hand it to each player's
-    ``scan_two_way_splits(..., table=...)``.
+    Shapley-Shubik: ``subset_size_weight_counts`` over all players; Banzhaf:
+    ``_banzhaf_table`` over all players. Build it once per game and hand it
+    to each player's ``scan_two_way_splits(..., table=...)``.
     """
     if IndexKind(kind) is IndexKind.SHAPLEY_SHUBIK:
         return subset_size_weight_counts(game.weights, game.quota)
@@ -180,26 +185,26 @@ def two_way_table(game: Game, kind: IndexKind | str):
 
 
 def _banzhaf_table(game: Game, players):
-    """``(vec, etas, profiles)`` with a profile H for each of ``players`` only.
+    """``(windows, profiles)``, with a profile H for each of ``players`` only.
 
-    H_p(s) sums, over every other player i, the table without {p, i} over
-    i's criticality window shifted down by s, for s in 0 .. w_p. One removal
-    of the pair and one prefix window over [q-w_p-w_i-1, q-1] serve both
-    ends: p adds P(q-1-s) - P(q-w_i-1-s) and i adds P(q-1-s) - P(q-w_p-1-s).
-    Each player is removed from the full table once, which also gives its
-    count eta; each pair touching ``players`` is removed from that once. All
-    players: n(n+1)/2 removals; one player: 2n - 1.
+    Player p's window is the prefix sums of the table without p over
+    [q-w_p-1, q-1] (its last minus first entry is p's count eta). H_p(s) sums,
+    over every other player i, the table without {p, i} over i's criticality
+    window shifted down by s, for s in 0 .. w_p. One removal of the pair and
+    one prefix window over [q-w_p-w_i-1, q-1] serve both ends: p adds
+    P(q-1-s) - P(q-w_i-1-s) and i adds P(q-1-s) - P(q-w_p-1-s). Each player
+    is removed from the full table once, each pair touching ``players`` once
+    from that: n(n+1)/2 removals for all players, 2n - 1 for one.
     """
     weights, quota = game.weights, game.quota
     n = len(weights)
     wanted = set(players)
     vec = subset_weight_counts(weights, quota)
-    etas = []
+    windows = []
     profiles = {p: [0] * (weights[p] + 1) for p in wanted}
     for p, wp in enumerate(weights):
         without_p = remove_weight(vec, wp, quota)
-        lo, hi = criticality_window(quota, wp)
-        etas.append(sum(without_p[lo:hi + 1]))
+        windows.append(window_prefix_sums(without_p, quota - wp - 1, quota - 1))
         for i in range(p + 1, n):
             if p not in wanted and i not in wanted:
                 continue
@@ -215,66 +220,66 @@ def _banzhaf_table(game: Game, players):
                         x + up - down
                         for x, up, down in zip(h, reversed(pref), reversed(pref[:len(h)]))
                     ]
-    return vec, tuple(etas), profiles
+    return windows, profiles
 
 
-def _two_way_shapley_values(game: Game, player: int, table):
-    """Return the baseline value and an O(1) after-total function.
+def _subset_sums(parts) -> list[int]:
+    """Entry m is the sum of the parts whose bit is set in m."""
+    sums = [0]
+    for a in parts:
+        sums += [s + a for s in sums]
+    return sums
 
-    With P_k the prefix sums of row k of the table without the player, and
-    F1(x) = sum_k k!(n-k)! P_k(x), F2(x) = sum_k (k+1)!(n-k-1)! P_k(x), the
-    split (own, partner) of weight w contributes, over (n+1)!,
-    F1(q-1) - F1(q-1-own) + F2(q-1-partner) - F2(q-w-1): the identity's
-    coalitions without the partner, then with it. F1 and F2 are only needed
-    on [q-w-1, q-1], stored at offset x - (q-w-1).
+
+def _shapley_split_values(game: Game, player: int, k: int, table):
+    """Return the baseline value and the after-total function of k parts.
+
+    With N = n + k - 1 players after the split, P_s the prefix sums of row s
+    of the table without the player and F_t = sum_s (s+t)!(N-1-s-t)! P_s, a
+    subset U of the parts adds, over N!,
+    (k - |U|) F_|U|(q-1-sum(U)) - |U| F_(|U|-1)(q-1-sum(U)).
     """
-    n = game.num_players
-    quota = game.quota
-    w = game.weights[player]
-    fact = [math.factorial(i) for i in range(n + 2)]
-    f1 = [0] * (w + 1)
-    f2 = [0] * (w + 1)
+    n, quota, w = game.num_players, game.quota, game.weights[player]
+    total_players = n + k - 1
+    fact = [math.factorial(i) for i in range(total_players + 1)]
+    f = [[0] * (w + 1) for _ in range(k + 1)]  # F_0 .. F_(k-1); f[k] = 0 is F_k and F_-1
     pivots = []
-    for k, row in enumerate(remove_weight_rows(table, w, quota)):
+    for s, row in enumerate(remove_weight_rows(table, w, quota)):
         pref = window_prefix_sums(row, quota - w - 1, quota - 1)
         pivots.append(pref[w] - pref[0])
-        c1 = fact[k] * fact[n - k]
-        c2 = fact[k + 1] * fact[n - k - 1]
-        f1 = [f + c1 * p for f, p in zip(f1, pref)]
-        f2 = [f + c2 * p for f, p in zip(f2, pref)]
-    before = shapley_value_from_pivots(pivots, n)
-    # Summed over both orders of (own, partner) = (j, w - j):
-    # num(j) = 2 * (F1(q-1) - F2(q-w-1)) + G(j) + G(w-j), with G = F2 - F1.
-    base = 2 * (f1[w] - f2[0])
-    g = [b - a for a, b in zip(f1, f2)]
-    full_denominator = fact[n + 1]
+        for t in range(k):
+            c = fact[s + t] * fact[total_players - 1 - s - t]
+            f[t] = [x + c * p for x, p in zip(f[t], pref)]
+    by_size = [[(k - u) * x - u * y for x, y in zip(f[u], f[u - 1])] for u in range(k + 1)]
+    by_mask = [by_size[bin(m).count("1")][::-1] for m in range(1 << k)]
+    denominator = fact[total_players]
 
-    def after_total(j: int) -> Fraction:
-        return Fraction(base + g[j] + g[w - j], full_denominator)
+    def after_total(parts) -> Fraction:
+        return Fraction(sum(map(list.__getitem__, by_mask, _subset_sums(parts))), denominator)
 
-    return before, after_total
+    return shapley_value_from_pivots(pivots, n), after_total
 
 
-def _two_way_banzhaf_values(game: Game, player: int, table):
+def _banzhaf_split_values(game: Game, player: int, k: int, table):
     """Same shape as the Shapley variant, for normalized Banzhaf values.
 
-    The identities' counts always sum to twice the player's count eta_p.
-    Every other player i's count after the split (a, b) is its count in the
-    game without i and the manipulator, over the window [q-w_i, q-1] shifted
-    down by each of 0, a, b and w. The table's profile H sums those windows
-    over i for one shift s, so a candidate's total is
-    2 * eta_p + H(0) + H(a) + H(b) + H(w).
+    A subset U of the parts adds (k - 2|U|) P(q-1-sum(U)) to the identities'
+    count, P the player's window, and H(sum(U)) to the other players'
+    counts, H the player's profile. At k = 2 the identities' count is 2 eta_p.
     """
-    w = game.weights[player]
-    _, etas, profiles = table
-    eta = etas[player]
-    before = Fraction(eta, sum(etas))
+    windows, profiles = table
+    etas = [window[-1] - window[0] for window in windows]
+    window = windows[player][::-1]
+    by_size = [[c * x for x in window] for c in range(k, -k - 1, -2)]  # c = k - 2u
+    by_mask = [by_size[bin(m).count("1")] for m in range(1 << k)]
     h = profiles[player]
 
-    def after_total(j: int) -> Fraction:
-        return Fraction(2 * eta, 2 * eta + h[0] + h[j] + h[w - j] + h[w])
+    def after_total(parts) -> Fraction:
+        sums = _subset_sums(parts)
+        own = sum(map(list.__getitem__, by_mask, sums))
+        return Fraction(own, own + sum(map(h.__getitem__, sums)))
 
-    return before, after_total
+    return Fraction(etas[player], sum(etas)), after_total
 
 
 def _summarize(player, kind, engine, reports) -> ScanSummary:
@@ -302,11 +307,25 @@ def _report(spec, before, after, engine, margin) -> SplitReport:
         spec=spec,
         payoff_before=before,
         payoff_after_total=after,
-        gain_ratio=(after / before) if before > 0 else None,
         classification=_classify(before, after, margin),
         engine=engine,
         margin=margin,
     )
+
+
+def _scan_exact(game: Game, player: int, kind: IndexKind, k: int, splits, table=None):
+    """Score each k-part split in ``splits``; builds the table if not given."""
+    if kind is IndexKind.SHAPLEY_SHUBIK:
+        table = table or two_way_table(game, kind)
+        before, after_total = _shapley_split_values(game, player, k, table)
+    else:
+        table = table or _banzhaf_table(game, (player,))
+        before, after_total = _banzhaf_split_values(game, player, k, table)
+    reports = [
+        _report(SplitSpec(player, parts), before, after_total(parts), Engine.EXACT, None)
+        for parts in splits
+    ]
+    return _summarize(player, kind, Engine.EXACT, reports)
 
 
 def scan_two_way_splits(
@@ -336,20 +355,7 @@ def scan_two_way_splits(
     candidates = range(1, w // 2 + 1)
     if engine is Engine.MONTE_CARLO:
         return _scan_two_way_mc(game, player, kind, candidates, mc_config, margin, workers)
-
-    if kind is IndexKind.SHAPLEY_SHUBIK:
-        if table is None:
-            table = two_way_table(game, kind)
-        before, after_total = _two_way_shapley_values(game, player, table)
-    else:
-        if table is None:
-            table = _banzhaf_table(game, (player,))
-        before, after_total = _two_way_banzhaf_values(game, player, table)
-    reports = [
-        _report(SplitSpec(player, (j, w - j)), before, after_total(j), engine, None)
-        for j in candidates
-    ]
-    return _summarize(player, kind, engine, reports)
+    return _scan_exact(game, player, kind, 2, ((j, w - j) for j in candidates), table)
 
 
 def _mc_value(game, player, kind, config, workers) -> Fraction:
@@ -413,22 +419,15 @@ def scan_k_way_splits(
     """Exact scan over unordered integer partitions of the weight into k parts.
 
     Identities are interchangeable, so multiset partitions cover every
-    distinct outcome.
+    distinct outcome. One counting table scores every partition on the exact
+    two-way scan's engine, with no split game built.
     """
     kind = IndexKind(kind)
     _check_player(game, player)
     if not 2 <= k <= MAX_KWAY:
         raise InvalidSplitError(f"k must be between 2 and {MAX_KWAY} (got {k})")
     w = game.weights[player]
-    before = index(game, kind)[player]
-    reports = []
-    for parts in _partitions_into(w, k, w):
-        spec = SplitSpec(player, parts)
-        outcome = apply_split(game, spec)
-        vec = index(outcome.game, kind)
-        after = sum(vec[p] for p in outcome.new_players)
-        reports.append(_report(spec, before, Fraction(after), Engine.EXACT, None))
-    return _summarize(player, kind, Engine.EXACT, reports)
+    return _scan_exact(game, player, kind, k, _partitions_into(w, k, w))
 
 
 def find_split_approx(

@@ -23,7 +23,7 @@ from .exact import (
     shapley_dp_vector,
     shapley_enumerate,
 )
-from .game import Game, SplitSpec
+from .game import Game, SplitSpec, apply_split
 from .manipulation import (
     Classification,
     GadgetVariant,
@@ -367,7 +367,7 @@ def _random_game(rng: random.Random, max_players: int = 8, max_weight: int = 12)
 
 
 def run_oracle_suite(trials: int, seed: int) -> list[FixtureResult]:
-    """DP against enumeration, plus normalization/symmetry/dummy/scaling."""
+    """DP against enumeration, normalization/symmetry/dummy/scaling, three-way splits."""
     rng = random.Random(seed)
     for t in range(trials):
         game = _random_game(rng)
@@ -393,6 +393,17 @@ def run_oracle_suite(trials: int, seed: int) -> list[FixtureResult]:
         scaled = Game(c * game.quota, tuple(c * w for w in game.weights))
         if index(scaled, SH) != sh_enum or index(scaled, BZ) != normalize_banzhaf(bz_enum):
             return [FixtureResult("oracle", "scale-invariance", False, str(game))]
+        player = rng.randrange(game.num_players)
+        for kind, before in ((SH, sh_enum[player]), (BZ, normalize_banzhaf(bz_enum)[player])):
+            for report in scan_k_way_splits(game, player, 3, kind).reports:
+                split = apply_split(game, report.spec)
+                if kind is SH:
+                    vec = shapley_enumerate(split.game)
+                else:
+                    vec = normalize_banzhaf(banzhaf_counts_enumerate(split.game))
+                after = sum(vec[p] for p in split.new_players)
+                if (report.payoff_before, report.payoff_after_total) != (before, after):
+                    return [FixtureResult("oracle", "k-way-matches-enumeration", False, str(game))]
     return [FixtureResult("oracle", f"engines-agree-on-{trials}-random-games", True)]
 
 

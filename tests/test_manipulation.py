@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wvg import (
@@ -19,6 +19,7 @@ from wvg import (
     SplitSpec,
     annex_benefit,
     annex_monotonicity_probe,
+    apply_split,
     check_split_bounds,
     find_split_approx,
     high_quota_split_recommendation,
@@ -41,6 +42,14 @@ games = st.builds(
     st.lists(st.integers(1, 9), min_size=2, max_size=7),
     st.integers(0, 10_000),
 )
+
+
+@st.composite
+def k_way_cases(draw):
+    """A game of up to 7 players (quota 1, the largest weight, the total or random) and a player."""
+    weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=7))
+    quota = draw(st.sampled_from((1, max(weights), sum(weights))) | st.integers(1, sum(weights)))
+    return Game(quota, tuple(weights)), draw(st.integers(0, len(weights) - 1))
 
 
 class TestTwoWayScan:
@@ -183,14 +192,43 @@ class TestKWayScan:
         assert report.payoff_after_total == Fraction(1, 7)
         assert report.gain_ratio == Fraction(2, 7)
 
-    def test_matches_two_way_scanner_at_k2(self):
+    @pytest.mark.parametrize("kind", [SH, BZ], ids=["shapley", "banzhaf"])
+    def test_matches_two_way_scanner_at_k2(self, kind):
         game = Game(17, (9, 4, 3, 2))
-        two = scan_two_way_splits(game, 0, BZ)
-        kway = scan_k_way_splits(game, 0, 2, BZ)
+        two = scan_two_way_splits(game, 0, kind)
+        kway = scan_k_way_splits(game, 0, 2, kind)
         assert {(r.spec.parts if r.spec.parts[0] >= r.spec.parts[1] else r.spec.parts[::-1],
                  r.payoff_after_total) for r in two.reports} == {
             (r.spec.parts, r.payoff_after_total) for r in kway.reports
         }
+
+    @given(k_way_cases(), st.sampled_from([2, 3, 4]), st.sampled_from([SH, BZ]))
+    @example((Game(6, (5, 5)), 1), 3, SH)
+    @example((Game(9, (8, 8, 1, 2)), 3), 2, BZ)
+    @example((Game(23, (9, 7, 7)), 0), 4, BZ)
+    @example((Game(1, (4, 1, 9)), 2), 4, SH)
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_split_game_oracle(self, case, k, kind):
+        game, player = case
+        oracle = shapley_by_subsets if kind is SH else banzhaf_by_subsets
+        summary = scan_k_way_splits(game, player, k, kind)
+        before = oracle(game)[player]
+        w = game.weights[player]
+        assert all(sum(r.spec.parts) == w and len(r.spec.parts) == k for r in summary.reports)
+        for report in summary.reports:
+            outcome = apply_split(game, report.spec)
+            vals = oracle(outcome.game)
+            assert report.payoff_before == before
+            assert report.payoff_after_total == sum(vals[p] for p in outcome.new_players)
+
+    @pytest.mark.parametrize("kind", [SH, BZ], ids=["shapley", "banzhaf"])
+    def test_never_rebuilds_the_game(self, monkeypatch, kind):
+        calls = []
+        for name in ("apply_split", "index"):
+            monkeypatch.setattr(manipulation, name, lambda *args, _name=name: calls.append(_name))
+        summary = scan_k_way_splits(Game(40, (12, 12, 7, 5, 5, 3, 1)), 0, 3, kind)
+        assert summary.total_splits == 12
+        assert calls == []
 
     def test_small_weight_yields_nothing(self):
         assert scan_k_way_splits(Game(3, (2, 2)), 0, 3, SH).total_splits == 0
