@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import WvgError
+from .errors import InvalidConfigError, WvgError
 from .exact import IndexKind, fraction_json_obj, fraction_to_decimal, index
 from .game import Game, SplitSpec, load_game, parse_inline_game
 from .manipulation import (
@@ -257,8 +257,12 @@ def _cmd_scan(args) -> int:
     game = _resolve_game(args.game)
     kind = _KINDS[args.kind]
     margin = Fraction(args.margin) if args.margin is not None else None
+    engine = Engine.EXACT if args.engine == "exact" else Engine.MONTE_CARLO
+    if args.k != 2 and engine is Engine.MONTE_CARLO:
+        raise InvalidConfigError(
+            f"--engine mc scans two-way splits only; --k {args.k} needs --engine exact"
+        )
     if args.k == 2:
-        engine = Engine.EXACT if args.engine == "exact" else Engine.MONTE_CARLO
         cfg = None
         if engine is Engine.MONTE_CARLO:
             cfg = McConfig(args.epsilon, args.delta, seed=args.seed, sample_count_override=args.samples)

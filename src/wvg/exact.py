@@ -4,11 +4,14 @@ Both engines return exact rationals and must agree bit for bit. All counting
 uses unbounded Python integers; criticality counts reach 2**n, so fixed-width
 arithmetic is never acceptable in this module.
 
-The DP state for a target player is the number of coalitions of the remaining
-players per (size, weight), with every weight at or above the quota collapsed
-into one saturating bucket. Criticality of a player with weight w only asks
-whether a coalition weight lies in the window [quota - w, quota - 1], so the
-bucket loses nothing and memory stays O(quota) per size class.
+The DP builds one counting table per game: the number of coalitions of all
+players per weight (and per size, for Shapley-Shubik), with every weight at
+or above the quota collapsed into one saturating bucket. Each player whose
+value is asked for is taken back out of that table by deconvolution, which
+gives the counts over the other players below the bucket. Criticality of a
+player with weight w only asks whether a coalition weight lies in the window
+[quota - w, quota - 1], so the bucket loses nothing and memory stays
+O(quota) per size class.
 """
 
 from __future__ import annotations
@@ -86,18 +89,6 @@ class CriticalCounts:
 
     def total(self) -> int:
         return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class ShapleyPivotTable:
-    """For one player, how many critical coalitions exist per coalition size."""
-
-    player: int
-    num_players: int
-    counts_by_size: tuple[int, ...]
-
-    def value(self) -> Fraction:
-        return shapley_value_from_pivots(self.counts_by_size, self.num_players)
 
 
 def shapley_value_from_pivots(counts_by_size, num_players: int) -> Fraction:
@@ -235,7 +226,8 @@ def criticality_window(quota: int, weight: int) -> tuple[int, int]:
 
 # --- enumeration engine -----------------------------------------------------
 
-def _check_limit(game: Game, limit: int) -> None:
+def _check_limit(game: Game) -> None:
+    limit = DEFAULT_ENUMERATION_LIMIT
     if game.num_players > limit:
         raise SizeLimitError(
             f"{game.num_players} players exceeds the enumeration limit {limit}; "
@@ -252,14 +244,14 @@ def _mask_weights(weights) -> list[int]:
     return ws
 
 
-def shapley_enumerate(game: Game, limit: int = DEFAULT_ENUMERATION_LIMIT) -> IndexVector:
+def shapley_enumerate(game: Game) -> IndexVector:
     """Exact Shapley-Shubik indices over all coalitions of every other player.
 
     Uses the subset-size formulation of the permutation average: a coalition S
     of size k for which the player is critical accounts for k!(n-1-k)!
     orderings out of n!.
     """
-    _check_limit(game, limit)
+    _check_limit(game)
     n = game.num_players
     ws = _mask_weights(game.weights)
     full = (1 << n) - 1
@@ -280,8 +272,8 @@ def shapley_enumerate(game: Game, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Ind
     return IndexVector(IndexKind.SHAPLEY_SHUBIK, tuple(values))
 
 
-def banzhaf_counts_enumerate(game: Game, limit: int = DEFAULT_ENUMERATION_LIMIT) -> CriticalCounts:
-    _check_limit(game, limit)
+def banzhaf_counts_enumerate(game: Game) -> CriticalCounts:
+    _check_limit(game)
     n = game.num_players
     ws = _mask_weights(game.weights)
     full = (1 << n) - 1
@@ -304,61 +296,41 @@ def banzhaf_counts_enumerate(game: Game, limit: int = DEFAULT_ENUMERATION_LIMIT)
 
 # --- dynamic-programming engine ---------------------------------------------
 
-def shapley_pivot_table(game: Game, player: int) -> ShapleyPivotTable:
-    """Count critical coalitions per size for one player, in O(n^2 * quota)."""
-    n = game.num_players
-    others = [w for i, w in enumerate(game.weights) if i != player]
-    rows = subset_size_weight_counts(others, game.quota)
-    lo, hi = criticality_window(game.quota, game.weights[player])
-    pivots = tuple(sum(rows[k][lo:hi + 1]) for k in range(n))
-    return ShapleyPivotTable(player, n, pivots)
+def shapley_dp_values(game: Game, players) -> dict[int, Fraction]:
+    """Shapley-Shubik index of each of ``players`` from one counting table.
 
-
-def shapley_dp(game: Game, player: int) -> Fraction:
-    return shapley_pivot_table(game, player).value()
-
-
-def banzhaf_counts_dp(game: Game, player: int) -> int:
-    """Critical-coalition count for one player, in O(n * quota)."""
-    others = [w for i, w in enumerate(game.weights) if i != player]
-    vec = subset_weight_counts(others, game.quota)
-    lo, hi = criticality_window(game.quota, game.weights[player])
-    return sum(vec[lo:hi + 1])
-
-
-def shapley_dp_vector(game: Game) -> IndexVector:
-    """Every player's Shapley-Shubik index from one counting table per game.
-
-    The size-by-weight table over all n players is built once; each player is
-    then removed from it by deconvolution (``remove_weight_rows``) in O(n * q)
-    instead of a fresh O(n^2 * q) build, so the whole vector costs O(n^2 * q)
-    for quota q.
+    The size-by-weight table over all n players is built once, in O(n^2 * q)
+    for quota q; each named player is then taken out of it by deconvolution
+    (``remove_weight_rows``) in O(n * q), so asking for m players costs one
+    table plus m removals, never a fresh table per player.
     """
     n = game.num_players
     cap = game.quota
     rows = subset_size_weight_counts(game.weights, cap)
-    values = []
-    for w in game.weights:
+    values = {}
+    for p in players:
+        w = game.weights[p]
         lo, hi = criticality_window(cap, w)
         pivots = [sum(r[lo:hi + 1]) for r in remove_weight_rows(rows, w, cap)]
-        values.append(shapley_value_from_pivots(pivots, n))
-    return IndexVector(IndexKind.SHAPLEY_SHUBIK, tuple(values))
+        values[p] = shapley_value_from_pivots(pivots, n)
+    return values
 
 
-def critical_counts_from_table(vec, weights, cap: int) -> tuple[int, ...]:
-    """Every player's critical-coalition count from the full ``subset_weight_counts``."""
-    counts = []
-    for w in weights:
-        without = remove_weight(vec, w, cap)
-        lo, hi = criticality_window(cap, w)
-        counts.append(sum(without[lo:hi + 1]))
-    return tuple(counts)
+def shapley_dp_vector(game: Game) -> IndexVector:
+    """Every player's Shapley-Shubik index from one counting table per game."""
+    values = shapley_dp_values(game, range(game.num_players))
+    return IndexVector(IndexKind.SHAPLEY_SHUBIK, tuple(values.values()))
 
 
 def banzhaf_counts_dp_vector(game: Game) -> CriticalCounts:
-    # One full table, then one O(quota) removal per player.
-    vec = subset_weight_counts(game.weights, game.quota)
-    return CriticalCounts(critical_counts_from_table(vec, game.weights, game.quota))
+    """Every player's critical-coalition count: one O(n * q) table, one O(q) removal each."""
+    cap = game.quota
+    vec = subset_weight_counts(game.weights, cap)
+    counts = []
+    for w in game.weights:
+        lo, hi = criticality_window(cap, w)
+        counts.append(sum(remove_weight(vec, w, cap)[lo:hi + 1]))
+    return CriticalCounts(tuple(counts))
 
 
 def normalize_banzhaf(counts: CriticalCounts) -> IndexVector:
@@ -381,9 +353,12 @@ def critical_counts(game: Game) -> CriticalCounts:
 
 
 def index(game: Game, kind: IndexKind | str) -> IndexVector:
-    """Exact index of every player; enumeration below the limit, DP above.
+    """Exact index of every player; enumeration up to the limit, DP above it.
 
-    Both engines agree exactly; below the limit enumeration is faster for Shapley-Shubik.
+    Both engines agree exactly; up to the limit enumeration is faster for
+    Shapley-Shubik. Above it each kind builds one counting table for the
+    game and takes every player out of it once (``shapley_dp_vector``,
+    ``banzhaf_counts_dp_vector``).
     """
     kind = IndexKind(kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:

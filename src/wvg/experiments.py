@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise InvalidConfigError(f"player range must satisfy 2 <= min <= max, got {self.player_range}")
         if self.games_per_cell < 1:
             raise InvalidConfigError("games_per_cell must be at least 1")
+        if not self.weight_sigma_set:
+            raise InvalidConfigError("weight_sigma_set must name at least one sigma")
         if self.weight_mean <= 0 or any(s <= 0 for s in self.weight_sigma_set):
             raise InvalidConfigError("weight mean and sigmas must be positive")
 

@@ -29,7 +29,7 @@ from .exact import (
     index,
     remove_weight,
     remove_weight_rows,
-    shapley_dp,
+    shapley_dp_values,
     shapley_value_from_pivots,
     subset_size_weight_counts,
     subset_weight_counts,
@@ -133,11 +133,13 @@ class GadgetVariant(str, Enum):
 def _player_values(game: Game, players, kind: IndexKind) -> dict[int, Fraction]:
     """Index values for just the named players.
 
-    Shapley values above the enumeration limit come from per-player DP runs;
-    Banzhaf always needs the full count vector for its denominator.
+    Shapley values above the enumeration limit come from one counting table
+    for the game with only the named players taken out of it
+    (``shapley_dp_values``); Banzhaf always needs the full count vector for
+    its denominator.
     """
     if kind is IndexKind.SHAPLEY_SHUBIK and game.num_players > DEFAULT_ENUMERATION_LIMIT:
-        return {p: shapley_dp(game, p) for p in players}
+        return shapley_dp_values(game, players)
     vec = index(game, kind)
     return {p: vec[p] for p in players}
 

@@ -99,6 +99,16 @@ class TestScanCommand:
         assert obj["total_splits"] == 1
         assert obj["reports"][0]["classification"] == "harmful"
 
+    def test_k_way_refuses_monte_carlo(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--game", "6;5,5", "--player", "1", "--k", "3",
+            "--engine", "mc", "--samples", "100", "--seed", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --engine mc")
+        assert len(err.splitlines()) == 1
+
 
 class TestOtherCommands:
     def test_find_split(self, capsys):
@@ -160,6 +170,13 @@ class TestOtherCommands:
         assert out.splitlines()[0] == (
             "sigma,n_players,games,frac_with_beneficial,mean_beneficial_fraction"
         )
+
+    def test_experiment_refuses_empty_sigma_set(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "--sigmas", ",")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
 
 class TestVerifyCommand:

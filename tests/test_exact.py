@@ -8,24 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvg import (
+    DEFAULT_ENUMERATION_LIMIT,
     CriticalCounts,
     Game,
     IndexKind,
     SizeLimitError,
     WvgError,
-    banzhaf_counts_dp,
     banzhaf_counts_dp_vector,
     banzhaf_counts_enumerate,
     index,
     normalize_banzhaf,
-    shapley_dp,
     shapley_dp_vector,
     shapley_enumerate,
-    shapley_pivot_table,
 )
 from wvg.exact import (
+    criticality_window,
     fraction_to_decimal,
     remove_weight_rows,
+    shapley_dp_values,
     subset_size_weight_counts,
     window_prefix_sums,
 )
@@ -75,9 +75,10 @@ class TestWorkedExamples:
 
     def test_ones_with_double_player(self):
         game = Game(4, (1, 1, 1, 1, 2))
-        assert banzhaf_counts_dp(game, 4) == 10
-        assert all(banzhaf_counts_dp(game, i) == 4 for i in range(4))
-        assert normalize_banzhaf(banzhaf_counts_dp_vector(game))[4] == Fraction(5, 13)
+        counts = banzhaf_counts_dp_vector(game)
+        assert counts[4] == 10
+        assert all(counts[i] == 4 for i in range(4))
+        assert normalize_banzhaf(counts)[4] == Fraction(5, 13)
 
     def test_equal_weight_unanimity_family(self):
         for n in range(2, 9):
@@ -155,9 +156,11 @@ class TestOracleEquivalence:
 
     def test_pivot_table_reproduces_value(self):
         game = Game(5, (2, 1, 1, 1, 1))
-        table = shapley_pivot_table(game, 0)
-        assert table.counts_by_size == (0, 0, 0, 4, 1)
-        assert table.value() == shapley_dp(game, 0) == Fraction(2, 5)
+        rows = subset_size_weight_counts(game.weights, game.quota)
+        lo, hi = criticality_window(game.quota, 2)
+        pivots = [sum(r[lo:hi + 1]) for r in remove_weight_rows(rows, 2, game.quota)]
+        assert pivots == [0, 0, 0, 4, 1]
+        assert shapley_dp_values(game, [0]) == {0: Fraction(2, 5)}
 
     def test_larger_games_up_to_the_enumeration_limit(self):
         rng = random.Random(31)
@@ -165,6 +168,29 @@ class TestOracleEquivalence:
             game = random_game(rng, max_players=12, max_weight=30, min_players=10)
             assert shapley_dp_vector(game) == shapley_enumerate(game)
             assert banzhaf_counts_dp_vector(game) == banzhaf_counts_enumerate(game)
+
+
+@st.composite
+def games_above_the_limit(draw):
+    """13-14 players of weight 1..9 (quota 1, the largest weight, the total or
+    random) and a nonempty set of players."""
+    weights = draw(st.lists(st.integers(1, 9), min_size=13, max_size=14))
+    quota = draw(st.sampled_from((1, max(weights), sum(weights))) | st.integers(1, sum(weights)))
+    players = draw(st.sets(st.integers(0, len(weights) - 1), min_size=1))
+    return Game(quota, tuple(weights)), players
+
+
+class TestNamedPlayerValues:
+    @given(games_above_the_limit())
+    @settings(max_examples=20, deadline=None)
+    def test_match_the_vector_and_the_oracle(self, case):
+        game, players = case
+        assert game.num_players > DEFAULT_ENUMERATION_LIMIT
+        values = shapley_dp_values(game, players)
+        vector = shapley_dp_vector(game)
+        oracle = shapley_by_subsets(game)
+        assert values == {p: vector[p] for p in players}
+        assert values == {p: oracle[p] for p in players}
 
 
 class TestCountingTables:

@@ -260,6 +260,10 @@ class TestRunner:
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(weight_sigma_set=(0.0,))
 
+    def test_empty_sigma_set_rejected(self):
+        with pytest.raises(InvalidConfigError, match="sigma"):
+            ExperimentConfig(weight_sigma_set=())
+
 
 class TestExport:
     def test_csv_schema(self):

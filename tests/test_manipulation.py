@@ -29,7 +29,7 @@ from wvg import (
     scan_two_way_splits,
     unanimity_split_recommendation,
 )
-from wvg import manipulation
+from wvg import exact, manipulation
 from wvg.manipulation import two_way_table
 
 from _oracles import banzhaf_by_subsets, shapley_by_subsets
@@ -164,6 +164,37 @@ class TestBanzhafTableWork:
             calls.clear()
             scan_two_way_splits(game, player, BZ)
             assert len(calls) <= 2 * n
+
+
+class TestShapleyTablesPerQuery:
+    """Above the enumeration limit a Shapley-Shubik query builds one
+    size-by-weight table per game it reads, never one per player."""
+
+    GAME = Game(70, (12, 11, 10, 9, 9, 8, 8, 7, 7, 6, 5, 5, 4, 3, 2, 1))
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        sizes = []
+        original = exact.subset_size_weight_counts
+
+        def counting(weights, cap):
+            sizes.append(len(weights))
+            return original(weights, cap)
+
+        monkeypatch.setattr(exact, "subset_size_weight_counts", counting)
+        return sizes
+
+    def test_merge_of_three(self, tables):
+        merge_benefit(self.GAME, {0, 5, 9}, SH)
+        assert tables == [16, 14]
+
+    def test_split_bounds(self, tables):
+        check_split_bounds(self.GAME, 3, SplitSpec(3, (5, 4)))
+        assert tables == [16, 17]
+
+    def test_annex(self, tables):
+        annex_benefit(self.GAME, 0, {4, 7}, SH)
+        assert tables == [16, 14]
 
 
 class TestKWayScan:
