@@ -262,6 +262,8 @@ def _cmd_scan(args) -> int:
         raise InvalidConfigError(
             f"--engine mc scans two-way splits only; --k {args.k} needs --engine exact"
         )
+    if margin is not None and engine is Engine.EXACT:
+        raise InvalidConfigError("--margin applies to --engine mc only")
     if args.k == 2:
         cfg = None
         if engine is Engine.MONTE_CARLO:
@@ -503,7 +505,7 @@ def main(argv=None) -> int:
     except WvgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

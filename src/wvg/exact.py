@@ -4,14 +4,13 @@ Both engines return exact rationals and must agree bit for bit. All counting
 uses unbounded Python integers; criticality counts reach 2**n, so fixed-width
 arithmetic is never acceptable in this module.
 
-The DP builds one counting table per game: the number of coalitions of all
-players per weight (and per size, for Shapley-Shubik), with every weight at
-or above the quota collapsed into one saturating bucket. Each player whose
-value is asked for is taken back out of that table by deconvolution, which
-gives the counts over the other players below the bucket. Criticality of a
-player with weight w only asks whether a coalition weight lies in the window
-[quota - w, quota - 1], so the bucket loses nothing and memory stays
-O(quota) per size class.
+The DP builds one counting table per game: entry x counts the coalitions of
+all players (per size, for Shapley-Shubik) with weight at most x, for x below
+the quota q. Each player whose value is asked for is taken back out of that
+table by deconvolution, which gives the same counts over the other players.
+Criticality of a player with weight w only asks whether a coalition weight
+lies in the window [q - w, q - 1], so its count is two lookups
+(``window_count``) and memory stays O(q) per size class.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from math import factorial
 
 from .errors import SizeLimitError, WvgError
@@ -101,87 +99,67 @@ def shapley_value_from_pivots(counts_by_size, num_players: int) -> Fraction:
 #
 # These are shared with the manipulation scans, which build one table per
 # game, take players out of it by deconvolution and read windows of it,
-# instead of rebuilding a table per player or per candidate split.
+# instead of rebuilding a table per player or per candidate split. Tables are
+# cumulative: with c the plain counts, entry x holds c[0] + ... + c[x], the
+# coefficient of z^x in prod(1 + z^w_i) / (1 - z). Adding and removing a
+# weight commute with that prefix sum, so they keep the plain-count
+# recurrences, and every window of the plain counts is a difference of two
+# entries.
 
 def subset_weight_counts(weights, cap: int) -> list[int]:
-    """vec[x] = number of subsets of ``weights`` with total weight x.
-
-    Index ``cap`` is a saturating bucket holding every subset of weight >= cap;
-    entries below ``cap`` are exact.
-    """
-    vec = [0] * (cap + 1)
-    vec[0] = 1
+    """vec[x] = number of subsets of ``weights`` with total weight at most x, x < ``cap``."""
+    vec = [1] * cap
     for w in weights:
-        add_weight_inplace(vec, w, cap)
+        if w < cap:
+            vec[w:] = [a + b for a, b in zip(vec[w:], vec)]
     return vec
 
 
-def add_weight_inplace(vec: list[int], w: int, cap: int) -> None:
-    if w >= cap:
-        vec[cap] += sum(vec)
-        return
-    lim = cap - w
-    sat = sum(vec[lim:])
-    vec[w:cap] = [a + b for a, b in zip(vec[w:cap], vec[:lim])]
-    if sat:
-        vec[cap] += sat
-
-
-def remove_weight(vec, w: int, cap: int) -> list[int]:
-    """Invert ``add_weight_inplace`` below the bucket.
-
-    Returns counts over the multiset without one player of weight ``w``; only
-    entries below ``cap`` are meaningful (the bucket is not recoverable).
-    """
-    out = [0] * (cap + 1)
-    for x in range(cap):
-        out[x] = vec[x] - (out[x - w] if x >= w else 0)
+def remove_weight(vec, w: int) -> list[int]:
+    """Take one player of weight ``w`` out of a table: ``out[x] = vec[x] - out[x - w]``."""
+    out = list(vec)
+    for x in range(w, len(out)):
+        out[x] -= out[x - w]
     return out
 
 
-def remove_weight_rows(rows, w: int, cap: int) -> Iterator[list[int]]:
+def remove_weight_rows(rows, w: int) -> Iterator[list[int]]:
     """Invert one player of weight ``w`` out of a ``subset_size_weight_counts`` table.
 
-    The size-by-weight form of ``remove_weight``: below the bucket,
+    The size-by-weight form of ``remove_weight``:
     ``out[k][x] = rows[k][x] - out[k-1][x-w]``. Yields one row fewer than
     ``rows``, in order of size k, each as soon as it is known, so a caller
-    that reads them in turn holds one derived row, not a second table. Every
-    bucket entry is 0 because it is not recoverable.
+    that reads them in turn holds one derived row, not a second table.
     """
-    prev = None
+    cur = [0] * len(rows[0])
     for row in rows[:-1]:
-        if prev is None or w >= cap:
-            cur = row[:cap]
-        else:
-            cur = row[:w] + [a - b for a, b in zip(row[w:cap], prev)]
-        cur.append(0)
+        cur = row[:w] + [a - b for a, b in zip(row[w:], cur)]
         yield cur
-        prev = cur
 
 
 def subset_size_weight_counts(weights, cap: int) -> list[list[int]]:
-    """rows[k][x] = number of size-k subsets of ``weights`` with weight x.
-
-    Same saturating bucket convention as ``subset_weight_counts``.
-    """
-    m = len(weights)
-    rows = [[0] * (cap + 1) for _ in range(m + 1)]
-    rows[0][0] = 1
+    """rows[k][x] = number of size-k subsets of ``weights`` with weight at most x, x < ``cap``."""
+    rows = [[1] * cap] + [[0] * cap for _ in weights]
     for idx, w in enumerate(weights):
+        if w >= cap:
+            continue
         for k in range(idx, -1, -1):
-            row = rows[k]
-            tgt = rows[k + 1]
-            if w >= cap:
-                s = sum(row)
-                if s:
-                    tgt[cap] += s
-                continue
-            lim = cap - w
-            sat = sum(row[lim:])
-            tgt[w:cap] = [a + b for a, b in zip(tgt[w:cap], row[:lim])]
-            if sat:
-                tgt[cap] += sat
+            row, tgt = rows[k], rows[k + 1]
+            tgt[w:] = [a + b for a, b in zip(tgt[w:], row)]
     return rows
+
+
+def tail(table, width: int) -> list[int]:
+    """The last ``width`` >= 1 entries of a cumulative table, as [P(q-width), ..., P(q-1)].
+
+    P(x) = 0 below weight 0, so a window reaching below it is zero-padded.
+    """
+    return [0] * (width - len(table)) + table[-width:]
+
+
+def window_count(table, w: int) -> int:
+    """Coalitions a weight-``w`` player is critical for: P(q-1) - P(q-w-1)."""
+    return table[-1] - (table[-w - 1] if w < len(table) else 0)
 
 
 # ``prefix_sums`` and ``window_sum`` are unused by the package; they stay
@@ -194,18 +172,6 @@ def prefix_sums(vec) -> list[int]:
         acc += v
         out[i] = acc
     return out
-
-
-def window_prefix_sums(vec, lo: int, hi: int) -> list[int]:
-    """[P(lo), ..., P(hi)] for the prefix sums P of ``vec``, with P(x) = 0 for x < 0.
-
-    Costs one C-level sum below the window plus O(hi - lo) Python additions,
-    so a caller that only looks inside a window never prefix-sums the table.
-    Requires ``lo <= hi`` and ``0 <= hi < len(vec)``.
-    """
-    start = max(lo, 0)
-    head = sum(vec[:start + 1])
-    return [0] * (start - lo) + list(accumulate(vec[start + 1:hi + 1], initial=head))
 
 
 def window_sum(pref, lo: int, hi: int) -> int:
@@ -305,13 +271,11 @@ def shapley_dp_values(game: Game, players) -> dict[int, Fraction]:
     table plus m removals, never a fresh table per player.
     """
     n = game.num_players
-    cap = game.quota
-    rows = subset_size_weight_counts(game.weights, cap)
+    rows = subset_size_weight_counts(game.weights, game.quota)
     values = {}
     for p in players:
         w = game.weights[p]
-        lo, hi = criticality_window(cap, w)
-        pivots = [sum(r[lo:hi + 1]) for r in remove_weight_rows(rows, w, cap)]
+        pivots = [window_count(r, w) for r in remove_weight_rows(rows, w)]
         values[p] = shapley_value_from_pivots(pivots, n)
     return values
 
@@ -324,13 +288,8 @@ def shapley_dp_vector(game: Game) -> IndexVector:
 
 def banzhaf_counts_dp_vector(game: Game) -> CriticalCounts:
     """Every player's critical-coalition count: one O(n * q) table, one O(q) removal each."""
-    cap = game.quota
-    vec = subset_weight_counts(game.weights, cap)
-    counts = []
-    for w in game.weights:
-        lo, hi = criticality_window(cap, w)
-        counts.append(sum(remove_weight(vec, w, cap)[lo:hi + 1]))
-    return CriticalCounts(tuple(counts))
+    vec = subset_weight_counts(game.weights, game.quota)
+    return CriticalCounts(tuple(window_count(remove_weight(vec, w), w) for w in game.weights))
 
 
 def normalize_banzhaf(counts: CriticalCounts) -> IndexVector:

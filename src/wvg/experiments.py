@@ -50,8 +50,12 @@ class ExperimentConfig:
             raise InvalidConfigError("games_per_cell must be at least 1")
         if not self.weight_sigma_set:
             raise InvalidConfigError("weight_sigma_set must name at least one sigma")
+        if not all(math.isfinite(x) for x in (self.weight_mean, *self.weight_sigma_set)):
+            raise InvalidConfigError("weight mean and sigmas must be finite")
         if self.weight_mean <= 0 or any(s <= 0 for s in self.weight_sigma_set):
             raise InvalidConfigError("weight mean and sigmas must be positive")
+        if self.beneficial_margin is not None and self.engine is Engine.EXACT:
+            raise InvalidConfigError("beneficial_margin applies to the Monte-Carlo engine only")
 
     @classmethod
     def faithful(cls, seed: int = 0, kind: IndexKind = IndexKind.SHAPLEY_SHUBIK) -> "ExperimentConfig":

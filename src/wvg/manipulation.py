@@ -33,7 +33,7 @@ from .exact import (
     shapley_value_from_pivots,
     subset_size_weight_counts,
     subset_weight_counts,
-    window_prefix_sums,
+    tail,
 )
 from .game import Game, SplitSpec, apply_merge, apply_split, validate_coalition
 from .montecarlo import McConfig, banzhaf_mc, derive_seed, shapley_mc
@@ -165,14 +165,14 @@ def _check_player(game: Game, player: int) -> None:
 # One engine scores a split of a weight-w player into any k parts. An
 # identity of part a is critical for a coalition of other players T plus a
 # set U of its partner identities exactly when w(T) lies in
-# [q - a - sum(U), q - 1 - sum(U)]. With V = U + {a} and P the prefix sums of
-# the table without the player, the identities' critical coalitions number
+# [q - a - sum(U), q - 1 - sum(U)]. With V = U + {a} and P the (cumulative)
+# table without the player, the identities' critical coalitions number
 # the sum over nonempty V and a in V of P(q-1-sum(V)+a) - P(q-1-sum(V)): one
 # lookup per subset U of the parts, weighted k - |U| (U = V - {a}, once per a
 # outside U) and -|U| (U = V). Shapley-Shubik weights a coalition by its size,
 # so there P becomes F_t, a weighted sum of the table's size rows with
-# t = |V| - 1. Lookups lie in [q-w-1, q-1], so each profile is a window of
-# w + 1 entries, reversed to be indexed by sum(U).
+# t = |V| - 1. Lookups lie in [q-w-1, q-1], so each profile is the table's
+# tail of w + 1 entries, reversed to be indexed by sum(U).
 
 def two_way_table(game: Game, kind: IndexKind | str):
     """The counting table every exact split scan of ``game`` reads.
@@ -189,30 +189,29 @@ def two_way_table(game: Game, kind: IndexKind | str):
 def _banzhaf_table(game: Game, players):
     """``(windows, profiles)``, with a profile H for each of ``players`` only.
 
-    Player p's window is the prefix sums of the table without p over
-    [q-w_p-1, q-1] (its last minus first entry is p's count eta). H_p(s) sums,
-    over every other player i, the table without {p, i} over i's criticality
-    window shifted down by s, for s in 0 .. w_p. One removal of the pair and
-    one prefix window over [q-w_p-w_i-1, q-1] serve both ends: p adds
-    P(q-1-s) - P(q-w_i-1-s) and i adds P(q-1-s) - P(q-w_p-1-s). Each player
-    is removed from the full table once, each pair touching ``players`` once
-    from that: n(n+1)/2 removals for all players, 2n - 1 for one.
+    Player p's window is the table without p over [q-w_p-1, q-1] (its last
+    minus first entry is p's count eta). H_p(s) sums, over every other player
+    i, the coalitions without {p, i} in i's criticality window shifted down
+    by s, for s in 0 .. w_p. One removal of the pair and its table P over
+    [q-w_p-w_i-1, q-1] serve both ends: p adds P(q-1-s) - P(q-w_i-1-s) and i
+    adds P(q-1-s) - P(q-w_p-1-s). Each player is removed from the full table
+    once, each pair touching ``players`` once from that: n(n+1)/2 removals
+    for all players, 2n - 1 for one.
     """
-    weights, quota = game.weights, game.quota
+    weights = game.weights
     n = len(weights)
     wanted = set(players)
-    vec = subset_weight_counts(weights, quota)
+    vec = subset_weight_counts(weights, game.quota)
     windows = []
     profiles = {p: [0] * (weights[p] + 1) for p in wanted}
     for p, wp in enumerate(weights):
-        without_p = remove_weight(vec, wp, quota)
-        windows.append(window_prefix_sums(without_p, quota - wp - 1, quota - 1))
+        without_p = remove_weight(vec, wp)
+        windows.append(tail(without_p, wp + 1))
         for i in range(p + 1, n):
             if p not in wanted and i not in wanted:
                 continue
             wi = weights[i]
-            without_pi = remove_weight(without_p, wi, quota)
-            pref = window_prefix_sums(without_pi, quota - wp - wi - 1, quota - 1)
+            pref = tail(remove_weight(without_p, wi), wp + wi + 1)
             # pref is offset by q-w_p-w_i-1: P(q-1-s) is pref[w_p+w_i-s], and
             # for the end `me`, P(q-w_other-1-s) is pref[w_me-s].
             for me in (p, i):
@@ -236,18 +235,18 @@ def _subset_sums(parts) -> list[int]:
 def _shapley_split_values(game: Game, player: int, k: int, table):
     """Return the baseline value and the after-total function of k parts.
 
-    With N = n + k - 1 players after the split, P_s the prefix sums of row s
-    of the table without the player and F_t = sum_s (s+t)!(N-1-s-t)! P_s, a
-    subset U of the parts adds, over N!,
+    With N = n + k - 1 players after the split, P_s row s of the table
+    without the player and F_t = sum_s (s+t)!(N-1-s-t)! P_s, a subset U of
+    the parts adds, over N!,
     (k - |U|) F_|U|(q-1-sum(U)) - |U| F_(|U|-1)(q-1-sum(U)).
     """
-    n, quota, w = game.num_players, game.quota, game.weights[player]
+    n, w = game.num_players, game.weights[player]
     total_players = n + k - 1
     fact = [math.factorial(i) for i in range(total_players + 1)]
     f = [[0] * (w + 1) for _ in range(k + 1)]  # F_0 .. F_(k-1); f[k] = 0 is F_k and F_-1
     pivots = []
-    for s, row in enumerate(remove_weight_rows(table, w, quota)):
-        pref = window_prefix_sums(row, quota - w - 1, quota - 1)
+    for s, row in enumerate(remove_weight_rows(table, w)):
+        pref = tail(row, w + 1)
         pivots.append(pref[w] - pref[0])
         for t in range(k):
             c = fact[s + t] * fact[total_players - 1 - s - t]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .errors import InvalidConfigError
 from .exact import (
     IndexKind,
     banzhaf_counts_enumerate,
@@ -463,6 +464,8 @@ SUITES = ("fixtures", "oracle", "bounds")
 
 
 def run(suite: str = "all", trials: int = 200, seed: int = 0) -> list[FixtureResult]:
+    if trials < 1:
+        raise InvalidConfigError(f"trials must be at least 1 (got {trials})")
     results = []
     if suite in ("all", "fixtures"):
         results.extend(run_fixtures())

@@ -7,6 +7,7 @@ import pytest
 import wvg.cli as cli_mod
 import wvg.verify as verify_mod
 from wvg.cli import main
+from wvg.errors import InvalidConfigError
 from wvg.verify import FixtureResult
 
 
@@ -179,6 +180,31 @@ class TestOtherCommands:
         assert len(err.splitlines()) == 1
 
 
+class TestRefusedInputs:
+    """Input a command cannot honour exits 1 with one line, never a traceback
+    or an output that silently ignores part of the request."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("experiment", "--mu", "inf"),
+            ("experiment", "--sigmas", "nan"),
+            ("experiment", "--sigmas", "1e308", "--games-per-cell", "1", "--players", "5:5"),
+            ("experiment", "--margin", "1/2"),
+            ("scan", "--game", "5;2,2,2", "--player", "0", "--margin", "1/2"),
+            ("scan", "--game", "6;5,5", "--player", "1", "--k", "3", "--margin", "1/2"),
+            ("verify", "--trials", "0"),
+            ("verify", "--trials", "-3"),
+        ],
+        ids=" ".join,
+    )
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "25", "--seed", "2")
@@ -191,6 +217,10 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "bounds-hold-on-40-random-trials" in out
+
+    def test_library_refuses_no_trials(self):
+        with pytest.raises(InvalidConfigError, match="trials"):
+            verify_mod.run("oracle", trials=0)
 
     def test_corrupted_fixture_fails(self, capsys, monkeypatch):
         def broken():

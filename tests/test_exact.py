@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wvg import (
@@ -22,12 +22,14 @@ from wvg import (
     shapley_enumerate,
 )
 from wvg.exact import (
-    criticality_window,
     fraction_to_decimal,
+    remove_weight,
     remove_weight_rows,
     shapley_dp_values,
     subset_size_weight_counts,
-    window_prefix_sums,
+    subset_weight_counts,
+    tail,
+    window_count,
 )
 
 from _oracles import (
@@ -157,8 +159,7 @@ class TestOracleEquivalence:
     def test_pivot_table_reproduces_value(self):
         game = Game(5, (2, 1, 1, 1, 1))
         rows = subset_size_weight_counts(game.weights, game.quota)
-        lo, hi = criticality_window(game.quota, 2)
-        pivots = [sum(r[lo:hi + 1]) for r in remove_weight_rows(rows, 2, game.quota)]
+        pivots = [window_count(r, 2) for r in remove_weight_rows(rows, 2)]
         assert pivots == [0, 0, 0, 4, 1]
         assert shapley_dp_values(game, [0]) == {0: Fraction(2, 5)}
 
@@ -193,7 +194,34 @@ class TestNamedPlayerValues:
         assert values == {p: oracle[p] for p in players}
 
 
+weight_lists = st.lists(st.integers(1, 12), max_size=7)
+
+
 class TestCountingTables:
+    @given(weight_lists, st.integers(1, 30))
+    @example([1, 3, 5], 1)
+    @example([4, 9, 2], 4)
+    @settings(max_examples=80, deadline=None)
+    def test_builders_count_subsets_up_to_each_weight(self, weights, cap):
+        subsets = [
+            [weights[i] for i in range(len(weights)) if mask >> i & 1]
+            for mask in range(1 << len(weights))
+        ]
+        flat = subset_weight_counts(weights, cap)
+        rows = subset_size_weight_counts(weights, cap)
+        assert flat == [sum(sum(s) <= x for s in subsets) for x in range(cap)]
+        assert rows == [
+            [sum(len(s) == k and sum(s) <= x for s in subsets) for x in range(cap)]
+            for k in range(len(weights) + 1)
+        ]
+
+    @given(weight_lists, st.integers(1, 12), st.integers(1, 30))
+    @example([4, 2], 9, 4)
+    @settings(max_examples=80, deadline=None)
+    def test_remove_weight_inverts_adding_a_player(self, others, w, cap):
+        vec = subset_weight_counts(others + [w], cap)
+        assert remove_weight(vec, w) == subset_weight_counts(others, cap)
+
     @given(games)
     @settings(max_examples=80, deadline=None)
     def test_remove_weight_rows_inverts_adding_a_player(self, game):
@@ -201,18 +229,16 @@ class TestCountingTables:
         rows = subset_size_weight_counts(game.weights, q)
         for p, w in enumerate(game.weights):
             others = [x for i, x in enumerate(game.weights) if i != p]
-            removed = list(remove_weight_rows(rows, w, q))
-            expected = subset_size_weight_counts(others, q)
-            assert len(removed) == len(expected)
-            assert [r[:q] for r in removed] == [r[:q] for r in expected]
+            assert list(remove_weight_rows(rows, w)) == subset_size_weight_counts(others, q)
 
-    @given(st.lists(st.integers(0, 50), min_size=1, max_size=30), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_window_prefix_sums(self, vec, data):
-        hi = data.draw(st.integers(0, len(vec) - 1))
-        lo = data.draw(st.integers(-40, hi))
-        expected = [sum(vec[:x + 1]) if x >= 0 else 0 for x in range(lo, hi + 1)]
-        assert window_prefix_sums(vec, lo, hi) == expected
+    def test_windows_reaching_below_weight_zero(self):
+        table = subset_weight_counts([2, 3], 4)  # plain counts 1, 0, 1, 1
+        assert table == [1, 1, 2, 3]
+        assert tail(table, 3) == [1, 2, 3]
+        assert tail(table, 6) == [0, 0, 1, 1, 2, 3]
+        assert window_count(table, 2) == 2  # weights 2 and 3
+        assert window_count(table, 4) == 3  # weights 0 .. 3
+        assert window_count(table, 7) == 3
 
 
 class TestIndexAxioms:

@@ -1,6 +1,7 @@
 """Random-game generation, the experiment runner, and stats export."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -263,6 +264,26 @@ class TestRunner:
     def test_empty_sigma_set_rejected(self):
         with pytest.raises(InvalidConfigError, match="sigma"):
             ExperimentConfig(weight_sigma_set=())
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"weight_mean": math.inf},
+            {"weight_mean": math.nan},
+            {"weight_sigma_set": (5.0, math.inf)},
+            {"weight_sigma_set": (math.nan,)},
+        ],
+        ids=str,
+    )
+    def test_non_finite_parameters_rejected(self, fields):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            ExperimentConfig(**fields)
+
+    def test_margin_needs_the_monte_carlo_engine(self):
+        with pytest.raises(InvalidConfigError, match="margin"):
+            ExperimentConfig(beneficial_margin=Fraction(1, 2))
+        config = ExperimentConfig(beneficial_margin=Fraction(1, 2), engine=Engine.MONTE_CARLO)
+        assert config.beneficial_margin == Fraction(1, 2)
 
 
 class TestExport:

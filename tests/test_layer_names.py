@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -25,3 +26,17 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"wvg.{m}"), f, None))
     ]
     assert missing == []
+
+
+def test_table_counters_read_the_builders_arguments():
+    """perfbench computes table cells from ``args[0]`` (the weights) and
+    ``args[1]`` (the cap) of each builder call, so both builders keep
+    ``(weights, cap)`` as their first two parameters."""
+    spans = _load_spans()
+    exact = importlib.import_module("wvg.exact")
+    for name in ("subset_size_weight_counts", "subset_weight_counts"):
+        builder = getattr(exact, name)
+        assert list(inspect.signature(builder).parameters)[:2] == ["weights", "cap"]
+        args = ((3, 1, 4), 6)
+        counted = spans.SPANNED["exact"][name](args, {}, builder(*args))
+        assert counted["cells"] > 0
