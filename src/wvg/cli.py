@@ -452,8 +452,8 @@ def _cmd_experiment(args) -> int:
         weight_sigma_set=tuple(float(s) for s in args.sigmas.split(",") if s.strip()),
         player_range=(int(lo), int(hi or lo)),
         games_per_cell=args.games_per_cell,
-        epsilon=Fraction(args.epsilon),
-        delta=Fraction(args.delta),
+        epsilon=args.epsilon,
+        delta=args.delta,
         beneficial_margin=Fraction(args.margin) if args.margin is not None else None,
         seed=args.seed,
         engine=Engine.EXACT if args.engine == "exact" else Engine.MONTE_CARLO,

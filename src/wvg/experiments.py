@@ -18,7 +18,7 @@ from .errors import InvalidConfigError, ResourceLimitError
 from .exact import IndexKind
 from .game import Game
 from .manipulation import Engine, ScanSummary, scan_two_way_splits, two_way_table
-from .montecarlo import McConfig, derive_seed
+from .montecarlo import McConfig, _as_probability, derive_seed
 
 HISTOGRAM_BINS = 200
 BIN_WIDTH = Fraction(1, HISTOGRAM_BINS)
@@ -41,6 +41,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight_sigma_set", tuple(self.weight_sigma_set))
+        object.__setattr__(self, "epsilon", _as_probability(self.epsilon, "epsilon"))
+        object.__setattr__(self, "delta", _as_probability(self.delta, "delta"))
         object.__setattr__(self, "engine", Engine(self.engine))
         object.__setattr__(self, "kind", IndexKind(self.kind))
         lo, hi = self.player_range
@@ -50,10 +52,13 @@ class ExperimentConfig:
             raise InvalidConfigError("games_per_cell must be at least 1")
         if not self.weight_sigma_set:
             raise InvalidConfigError("weight_sigma_set must name at least one sigma")
-        if not all(math.isfinite(x) for x in (self.weight_mean, *self.weight_sigma_set)):
-            raise InvalidConfigError("weight mean and sigmas must be finite")
-        if self.weight_mean <= 0 or any(s <= 0 for s in self.weight_sigma_set):
-            raise InvalidConfigError("weight mean and sigmas must be positive")
+        # Weights are drawn as floats and rounded; above 2**53 a float skips integers.
+        sigmas = [("sigma", s) for s in self.weight_sigma_set]
+        for name, x in [("weight_mean", self.weight_mean), *sigmas]:
+            if not 0 < x < 2**53:
+                raise InvalidConfigError(
+                    f"{name} must be positive, finite and below 2**53, got {x}"
+                )
         if self.beneficial_margin is not None and self.engine is Engine.EXACT:
             raise InvalidConfigError("beneficial_margin applies to the Monte-Carlo engine only")
 

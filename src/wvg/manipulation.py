@@ -32,7 +32,6 @@ from .exact import (
     shapley_dp_values,
     shapley_value_from_pivots,
     subset_size_weight_counts,
-    subset_weight_counts,
     tail,
 )
 from .game import Game, SplitSpec, apply_merge, apply_split, validate_coalition
@@ -173,55 +172,35 @@ def _check_player(game: Game, player: int) -> None:
 # so there P becomes F_t, a weighted sum of the table's size rows with
 # t = |V| - 1. Lookups lie in [q-w-1, q-1], so each profile is the table's
 # tail of w + 1 entries, reversed to be indexed by sum(U).
+#
+# Banzhaf also needs the n - 1 other players' total count at quota
+# q' = q - sum(U). Player i's count is the winning coalitions that contain i
+# minus the winning coalitions that do not (one that wins without i still
+# wins with i). Summed over m players, a winning S counts 2|S| - m. That sum
+# is 0 over all subsets, so it equals the sum of m - 2|S| over the losing
+# ones: m A(q'-1) - 2 B(q'-1), with A the cumulative subset count and B the
+# cumulative sum of subset sizes (the y-derivative at y = 1 of
+# prod(1 + y x^w_i) / (1 - x)). Adding a weight w maps (A, B) to
+# (A(1 + z), B + z(B + A)) with z = x^w, so taking a player out is
+# A_p = A / (1 + z) and B_p = (B - z A_p) / (1 + z): two removals per
+# player, none per pair.
 
 def two_way_table(game: Game, kind: IndexKind | str):
     """The counting table every exact split scan of ``game`` reads.
 
     Shapley-Shubik: ``subset_size_weight_counts`` over all players; Banzhaf:
-    ``_banzhaf_table`` over all players. Build it once per game and hand it
-    to each player's ``scan_two_way_splits(..., table=...)``.
+    the cumulative vectors ``(A, B)`` over all players (see the comment
+    above). Build it once per game and hand it to each player's
+    ``scan_two_way_splits(..., table=...)``.
     """
     if IndexKind(kind) is IndexKind.SHAPLEY_SHUBIK:
         return subset_size_weight_counts(game.weights, game.quota)
-    return _banzhaf_table(game, range(game.num_players))
-
-
-def _banzhaf_table(game: Game, players):
-    """``(windows, profiles)``, with a profile H for each of ``players`` only.
-
-    Player p's window is the table without p over [q-w_p-1, q-1] (its last
-    minus first entry is p's count eta). H_p(s) sums, over every other player
-    i, the coalitions without {p, i} in i's criticality window shifted down
-    by s, for s in 0 .. w_p. One removal of the pair and its table P over
-    [q-w_p-w_i-1, q-1] serve both ends: p adds P(q-1-s) - P(q-w_i-1-s) and i
-    adds P(q-1-s) - P(q-w_p-1-s). Each player is removed from the full table
-    once, each pair touching ``players`` once from that: n(n+1)/2 removals
-    for all players, 2n - 1 for one.
-    """
-    weights = game.weights
-    n = len(weights)
-    wanted = set(players)
-    vec = subset_weight_counts(weights, game.quota)
-    windows = []
-    profiles = {p: [0] * (weights[p] + 1) for p in wanted}
-    for p, wp in enumerate(weights):
-        without_p = remove_weight(vec, wp)
-        windows.append(tail(without_p, wp + 1))
-        for i in range(p + 1, n):
-            if p not in wanted and i not in wanted:
-                continue
-            wi = weights[i]
-            pref = tail(remove_weight(without_p, wi), wp + wi + 1)
-            # pref is offset by q-w_p-w_i-1: P(q-1-s) is pref[w_p+w_i-s], and
-            # for the end `me`, P(q-w_other-1-s) is pref[w_me-s].
-            for me in (p, i):
-                h = profiles.get(me)
-                if h is not None:
-                    profiles[me] = [
-                        x + up - down
-                        for x, up, down in zip(h, reversed(pref), reversed(pref[:len(h)]))
-                    ]
-    return windows, profiles
+    a, b = [1] * game.quota, [0] * game.quota
+    for w in game.weights:
+        if w < game.quota:
+            b[w:] = [u + v + c for u, v, c in zip(b[w:], b, a)]
+            a[w:] = [u + v for u, v in zip(a[w:], a)]
+    return a, b
 
 
 def _subset_sums(parts) -> list[int]:
@@ -264,23 +243,29 @@ def _shapley_split_values(game: Game, player: int, k: int, table):
 def _banzhaf_split_values(game: Game, player: int, k: int, table):
     """Same shape as the Shapley variant, for normalized Banzhaf values.
 
-    A subset U of the parts adds (k - 2|U|) P(q-1-sum(U)) to the identities'
-    count, P the player's window, and H(sum(U)) to the other players'
-    counts, H the player's profile. At k = 2 the identities' count is 2 eta_p.
+    With A_p, B_p the table without the player, a subset U of the parts adds
+    (k - 2|U|) A_p(q-1-sum(U)) to the identities' count and
+    H(sum(U)) = (n-1) A_p(q-1-sum(U)) - 2 B_p(q-1-sum(U)) to the other
+    players' counts: their total at quota q - sum(U), since each player's
+    count is the winning coalitions with it minus those without it (see the
+    comment above ``two_way_table``). The baseline is eta_p over the game's
+    total n A(q-1) - 2 B(q-1).
     """
-    windows, profiles = table
-    etas = [window[-1] - window[0] for window in windows]
-    window = windows[player][::-1]
+    a, b = table
+    n, w = game.num_players, game.weights[player]
+    a_p = remove_weight(a, w)
+    b_p = remove_weight(b[:w] + [x - y for x, y in zip(b[w:], a_p)], w)
+    window = tail(a_p, w + 1)[::-1]
+    h = [(n - 1) * x - 2 * y for x, y in zip(window, tail(b_p, w + 1)[::-1])]
     by_size = [[c * x for x in window] for c in range(k, -k - 1, -2)]  # c = k - 2u
     by_mask = [by_size[bin(m).count("1")] for m in range(1 << k)]
-    h = profiles[player]
 
     def after_total(parts) -> Fraction:
         sums = _subset_sums(parts)
         own = sum(map(list.__getitem__, by_mask, sums))
         return Fraction(own, own + sum(map(h.__getitem__, sums)))
 
-    return Fraction(etas[player], sum(etas)), after_total
+    return Fraction(window[0] - window[-1], n * a[-1] - 2 * b[-1]), after_total
 
 
 def _summarize(player, kind, engine, reports) -> ScanSummary:
@@ -316,11 +301,10 @@ def _report(spec, before, after, engine, margin) -> SplitReport:
 
 def _scan_exact(game: Game, player: int, kind: IndexKind, k: int, splits, table=None):
     """Score each k-part split in ``splits``; builds the table if not given."""
+    table = table or two_way_table(game, kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:
-        table = table or two_way_table(game, kind)
         before, after_total = _shapley_split_values(game, player, k, table)
     else:
-        table = table or _banzhaf_table(game, (player,))
         before, after_total = _banzhaf_split_values(game, player, k, table)
     reports = [
         _report(SplitSpec(player, parts), before, after_total(parts), Engine.EXACT, None)

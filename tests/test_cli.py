@@ -204,6 +204,24 @@ class TestRefusedInputs:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("experiment", "--engine", "mc", "--epsilon", "nan"), "epsilon"),
+            (("experiment", "--engine", "mc", "--epsilon", "abc"), "epsilon"),
+            (("experiment", "--engine", "mc", "--delta", "2"), "delta"),
+            (("experiment", "--mu", "1e308"), "weight_mean"),
+            (("experiment", "--mu", "1e300", "--sigmas", "1"), "weight_mean"),
+            (("experiment", "--sigmas", "5,1e300"), "sigma"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+    )
+    def test_error_names_the_parameter(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv, "--games-per-cell", "1", "--players", "5:5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert name in err and len(err) < 100
+
 
 class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):

@@ -279,6 +279,24 @@ class TestRunner:
         with pytest.raises(InvalidConfigError, match="finite"):
             ExperimentConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"weight_mean": 2.0**53}, "weight_mean"),
+            ({"weight_sigma_set": (5.0, 1e300)}, "sigma"),
+            ({"epsilon": "nan"}, "epsilon"),
+            ({"delta": Fraction(2)}, "delta"),
+        ],
+        ids=str,
+    )
+    def test_out_of_range_parameters_named(self, fields, name):
+        with pytest.raises(InvalidConfigError, match=name):
+            ExperimentConfig(**fields)
+
+    def test_probabilities_parsed_to_fractions(self):
+        config = ExperimentConfig(epsilon="0.01", delta="1/1000")
+        assert (config.epsilon, config.delta) == (Fraction(1, 100), Fraction(1, 1000))
+
     def test_margin_needs_the_monte_carlo_engine(self):
         with pytest.raises(InvalidConfigError, match="margin"):
             ExperimentConfig(beneficial_margin=Fraction(1, 2))

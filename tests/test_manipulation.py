@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,7 @@ from wvg import (
 from wvg import exact, manipulation
 from wvg.manipulation import two_way_table
 
-from _oracles import banzhaf_by_subsets, shapley_by_subsets
+from _oracles import banzhaf_by_subsets, banzhaf_counts_by_subsets, shapley_by_subsets
 
 SH = IndexKind.SHAPLEY_SHUBIK
 BZ = IndexKind.BANZHAF
@@ -128,7 +129,8 @@ class TestTwoWayScan:
 
 
 class TestBanzhafTableWork:
-    """The Banzhaf two-way tables remove each pair of players once."""
+    """The Banzhaf table is built for the whole game without removals, and a
+    player scan takes the player out of its two vectors: two removals."""
 
     GAMES = [
         Game(1, (3,)),
@@ -150,20 +152,46 @@ class TestBanzhafTableWork:
         return calls
 
     @pytest.mark.parametrize("game", GAMES, ids=str)
-    def test_game_table_removes_each_pair_once(self, monkeypatch, game):
+    def test_game_scan_removes_each_player_twice(self, monkeypatch, game):
         calls = self._count_removals(monkeypatch)
-        two_way_table(game, BZ)
-        n = game.num_players
-        assert len(calls) == n * (n + 1) // 2
+        table = two_way_table(game, BZ)
+        assert calls == []
+        for player, w in enumerate(game.weights):
+            scan_two_way_splits(game, player, BZ, table=table)
+            assert calls == [w, w]
+            calls.clear()
 
     @pytest.mark.parametrize("game", GAMES, ids=str)
     def test_single_player_scan_builds_one_profile(self, monkeypatch, game):
         calls = self._count_removals(monkeypatch)
-        n = game.num_players
-        for player in range(n):
+        for player in range(game.num_players):
             calls.clear()
             scan_two_way_splits(game, player, BZ)
-            assert len(calls) <= 2 * n
+            assert len(calls) == 2
+
+
+@st.composite
+def banzhaf_games(draw):
+    """Games of 1-8 players, weights 1-20, quota 1, the largest weight, the total or random."""
+    weights = draw(st.lists(st.integers(1, 20), min_size=1, max_size=8))
+    quota = draw(st.sampled_from((1, max(weights), sum(weights))) | st.integers(1, sum(weights)))
+    return Game(quota, tuple(weights))
+
+
+@given(banzhaf_games())
+@settings(max_examples=150, deadline=None)
+@example(Game(1, (3,)))
+@example(Game(5, (7, 2, 5)))
+def test_banzhaf_table_counts_every_swing(game):
+    """A counts and B sums the sizes of the subsets up to each weight; n A(q-1) - 2 B(q-1)
+    is the total swing count."""
+    a, b = two_way_table(game, BZ)
+    assert a == exact.subset_weight_counts(game.weights, game.quota)
+    subsets = [
+        sub for r in range(game.num_players + 1) for sub in combinations(game.weights, r)
+    ]
+    assert b == [sum(len(sub) for sub in subsets if sum(sub) <= x) for x in range(game.quota)]
+    assert game.num_players * a[-1] - 2 * b[-1] == sum(banzhaf_counts_by_subsets(game))
 
 
 class TestShapleyTablesPerQuery:
