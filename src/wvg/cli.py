@@ -445,12 +445,23 @@ def _cmd_gadget(args) -> int:
     return 0
 
 
+def _parsed(parse, text: str, name: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidConfigError(f"malformed {name}: {text!r}") from None
+
+
+def _player_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    return int(lo), int(hi or lo)
+
+
 def _cmd_experiment(args) -> int:
-    lo, _, hi = args.players.partition(":")
     config = ExperimentConfig(
         weight_mean=args.mu,
-        weight_sigma_set=tuple(float(s) for s in args.sigmas.split(",") if s.strip()),
-        player_range=(int(lo), int(hi or lo)),
+        weight_sigma_set=tuple(_parsed(float, s, "sigma") for s in args.sigmas.split(",") if s.strip()),
+        player_range=_parsed(_player_range, args.players, "players (expected min:max)"),
         games_per_cell=args.games_per_cell,
         epsilon=args.epsilon,
         delta=args.delta,

@@ -4,10 +4,11 @@ Both engines return exact rationals and must agree bit for bit. All counting
 uses unbounded Python integers; criticality counts reach 2**n, so fixed-width
 arithmetic is never acceptable in this module.
 
-The DP builds one counting table per game: entry x counts the coalitions of
-all players (per size, for Shapley-Shubik) with weight at most x, for x below
-the quota q. Each player whose value is asked for is taken back out of that
-table by deconvolution, which gives the same counts over the other players.
+The DP builds one counting table per game (``game_table``): entry x counts
+the coalitions of all players (per size, for Shapley-Shubik) with weight at
+most x, for x below the quota q. Each player, or bloc of players merged into
+one, whose value is asked for is taken back out of that table by
+deconvolution, which gives the same counts over the other players.
 Criticality of a player with weight w only asks whether a coalition weight
 lies in the window [q - w, q - 1], so its count is two lookups
 (``window_count``) and memory stays O(q) per size class.
@@ -20,6 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import pairwise
 from math import factorial
 
 from .errors import SizeLimitError, WvgError
@@ -97,9 +99,9 @@ def shapley_value_from_pivots(counts_by_size, num_players: int) -> Fraction:
 
 # --- counting tables --------------------------------------------------------
 #
-# These are shared with the manipulation scans, which build one table per
-# game, take players out of it by deconvolution and read windows of it,
-# instead of rebuilding a table per player or per candidate split. Tables are
+# Every exact query builds one table per game (``game_table``), takes players
+# out of it by deconvolution and reads windows of it, instead of rebuilding a
+# table per player, per merged bloc or per candidate split. Tables are
 # cumulative: with c the plain counts, entry x holds c[0] + ... + c[x], the
 # coefficient of z^x in prod(1 + z^w_i) / (1 - z). Adding and removing a
 # weight commute with that prefix sum, so they keep the plain-count
@@ -127,13 +129,14 @@ def remove_weight_rows(rows, w: int) -> Iterator[list[int]]:
     """Invert one player of weight ``w`` out of a ``subset_size_weight_counts`` table.
 
     The size-by-weight form of ``remove_weight``:
-    ``out[k][x] = rows[k][x] - out[k-1][x-w]``. Yields one row fewer than
-    ``rows``, in order of size k, each as soon as it is known, so a caller
-    that reads them in turn holds one derived row, not a second table.
+    ``out[k][x] = rows[k][x] - out[k-1][x-w]``. ``rows`` may be any iterable,
+    such as another removal: rows are yielded one fewer, in order of size k,
+    as they are known (the first is ``rows``' own), so a chain of removals
+    never holds a second table.
     """
-    cur = [0] * len(rows[0])
-    for row in rows[:-1]:
-        cur = row[:w] + [a - b for a, b in zip(row[w:], cur)]
+    cur = None
+    for row, _ in pairwise(rows):
+        cur = row if cur is None else row[:w] + [a - b for a, b in zip(row[w:], cur)]
         yield cur
 
 
@@ -160,6 +163,56 @@ def tail(table, width: int) -> list[int]:
 def window_count(table, w: int) -> int:
     """Coalitions a weight-``w`` player is critical for: P(q-1) - P(q-w-1)."""
     return table[-1] - (table[-w - 1] if w < len(table) else 0)
+
+
+# Banzhaf reads two cumulative vectors: A counts the subsets and B sums their
+# sizes. A player's count is the winning coalitions with it minus those
+# without it, so over m players a winning S counts 2|S| - m. That sum is 0
+# over all subsets, so m players' total at quota q' is the sum of m - 2|S|
+# over the losing S: m A(q'-1) - 2 B(q'-1). Adding a weight w maps (A, B) to
+# (A(1 + u), B + u(B + A)) with u = z^w; ``remove_weight_pair`` inverts it.
+#
+# A bloc M of weight W merged into one player leaves N = n - |M| + 1 players.
+# With M taken out of the table, the bloc is critical for the coalitions in
+# [q - W, q - 1]. For Banzhaf the other N - 1 players' total is their total
+# at quota q (coalitions without the bloc) plus at quota q - W (with it).
+
+def game_table(game: Game, kind: IndexKind | str):
+    """The one counting table every exact query of ``game`` reads: for
+    Shapley-Shubik ``subset_size_weight_counts``, for Banzhaf ``(A, B)``."""
+    if IndexKind(kind) is IndexKind.SHAPLEY_SHUBIK:
+        return subset_size_weight_counts(game.weights, game.quota)
+    a, b = [1] * game.quota, [0] * game.quota
+    for w in game.weights:
+        if w < game.quota:
+            b[w:] = [u + v + c for u, v, c in zip(b[w:], b, a)]
+            a[w:] = [u + v for u, v in zip(a[w:], a)]
+    return a, b
+
+
+def remove_weight_pair(table, w: int) -> tuple[list[int], list[int]]:
+    """Take one player of weight ``w`` out of a Banzhaf ``(A, B)`` table."""
+    a, b = table
+    a_p = remove_weight(a, w)
+    return a_p, remove_weight(b[:w] + [x - y for x, y in zip(b[w:], a_p)], w)
+
+
+def bloc_value(game: Game, members, kind: IndexKind | str, table) -> Fraction:
+    """The merged player's index in ``apply_merge(game, members)``, read from
+    ``table`` (``game_table(game, kind)``) with the members taken out."""
+    kind = IndexKind(kind)
+    weights = [game.weights[p] for p in members]
+    merged, players = sum(weights), game.num_players - len(weights) + 1
+    if kind is IndexKind.SHAPLEY_SHUBIK:
+        for w in weights:
+            table = remove_weight_rows(table, w)
+        return shapley_value_from_pivots([window_count(r, merged) for r in table], players)
+    for w in weights:
+        table = remove_weight_pair(table, w)
+    a, b = table
+    eta = window_count(a, merged)
+    others = (players - 1) * (2 * a[-1] - eta) - 2 * (2 * b[-1] - window_count(b, merged))
+    return Fraction(eta, eta + others)
 
 
 # ``prefix_sums`` and ``window_sum`` are unused by the package; they stay
@@ -210,21 +263,15 @@ def _mask_weights(weights) -> list[int]:
     return ws
 
 
-def shapley_enumerate(game: Game) -> IndexVector:
-    """Exact Shapley-Shubik indices over all coalitions of every other player.
-
-    Uses the subset-size formulation of the permutation average: a coalition S
-    of size k for which the player is critical accounts for k!(n-1-k)!
-    orderings out of n!.
-    """
+def _enumerated_pivots(game: Game) -> list[list[int]]:
+    """Entry [i][k]: the size-k coalitions of the other players that player i is critical for."""
     _check_limit(game)
     n = game.num_players
     ws = _mask_weights(game.weights)
     full = (1 << n) - 1
-    quota = game.quota
-    values = []
+    out = []
     for i in range(n):
-        lo, hi = criticality_window(quota, game.weights[i])
+        lo, hi = criticality_window(game.quota, game.weights[i])
         rest = full ^ (1 << i)
         pivots = [0] * n
         sub = rest
@@ -234,56 +281,34 @@ def shapley_enumerate(game: Game) -> IndexVector:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        values.append(shapley_value_from_pivots(pivots, n))
+        out.append(pivots)
+    return out
+
+
+def shapley_enumerate(game: Game) -> IndexVector:
+    """Exact Shapley-Shubik indices over all coalitions of every other player.
+
+    Uses the subset-size formulation of the permutation average: a coalition S
+    of size k for which the player is critical accounts for k!(n-1-k)!
+    orderings out of n!.
+    """
+    values = (shapley_value_from_pivots(p, game.num_players) for p in _enumerated_pivots(game))
     return IndexVector(IndexKind.SHAPLEY_SHUBIK, tuple(values))
 
 
 def banzhaf_counts_enumerate(game: Game) -> CriticalCounts:
-    _check_limit(game)
-    n = game.num_players
-    ws = _mask_weights(game.weights)
-    full = (1 << n) - 1
-    quota = game.quota
-    counts = []
-    for i in range(n):
-        lo, hi = criticality_window(quota, game.weights[i])
-        rest = full ^ (1 << i)
-        c = 0
-        sub = rest
-        while True:
-            if lo <= ws[sub] <= hi:
-                c += 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        counts.append(c)
-    return CriticalCounts(tuple(counts))
+    return CriticalCounts(tuple(sum(p) for p in _enumerated_pivots(game)))
 
 
 # --- dynamic-programming engine ---------------------------------------------
 
-def shapley_dp_values(game: Game, players) -> dict[int, Fraction]:
-    """Shapley-Shubik index of each of ``players`` from one counting table.
-
-    The size-by-weight table over all n players is built once, in O(n^2 * q)
-    for quota q; each named player is then taken out of it by deconvolution
-    (``remove_weight_rows``) in O(n * q), so asking for m players costs one
-    table plus m removals, never a fresh table per player.
-    """
-    n = game.num_players
-    rows = subset_size_weight_counts(game.weights, game.quota)
-    values = {}
-    for p in players:
-        w = game.weights[p]
-        pivots = [window_count(r, w) for r in remove_weight_rows(rows, w)]
-        values[p] = shapley_value_from_pivots(pivots, n)
-    return values
-
-
 def shapley_dp_vector(game: Game) -> IndexVector:
-    """Every player's Shapley-Shubik index from one counting table per game."""
-    values = shapley_dp_values(game, range(game.num_players))
-    return IndexVector(IndexKind.SHAPLEY_SHUBIK, tuple(values.values()))
+    """Every player's Shapley-Shubik index: one O(n^2 * q) table for quota q,
+    then each player's singleton bloc taken out of it in O(n * q)."""
+    kind = IndexKind.SHAPLEY_SHUBIK
+    table = game_table(game, kind)
+    values = (bloc_value(game, [p], kind, table) for p in range(game.num_players))
+    return IndexVector(kind, tuple(values))
 
 
 def banzhaf_counts_dp_vector(game: Game) -> CriticalCounts:

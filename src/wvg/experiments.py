@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidConfigError, ResourceLimitError
-from .exact import IndexKind
+from .exact import IndexKind, game_table
 from .game import Game
-from .manipulation import Engine, ScanSummary, scan_two_way_splits, two_way_table
+from .manipulation import Engine, ScanSummary, scan_two_way_splits
 from .montecarlo import McConfig, _as_probability, derive_seed
 
 HISTOGRAM_BINS = 200
@@ -162,7 +162,7 @@ def scan_game(
     The exact engine builds one counting table for the game and shares it
     across every player's scan.
     """
-    table = two_way_table(game, kind) if Engine(engine) is Engine.EXACT else None
+    table = game_table(game, kind) if Engine(engine) is Engine.EXACT else None
     scans = tuple(
         scan_two_way_splits(
             game, p, kind, engine=engine, mc_config=mc_config, margin=margin, table=table

@@ -5,12 +5,14 @@ split finder, merge and annexation benefit checks, bound verification for
 two-way splits, special-case split recommendations, and the PARTITION-based
 instance generators.
 
-Exact split scans, two-way and k-way alike, share one window engine: one
-counting table per game (``two_way_table``), each player taken out of it by
-deconvolution, and one lookup into the player's window profiles per subset of
-a split's parts (see the comment above ``two_way_table``). Exact candidates
-are classified by comparing two rationals; only the Monte-Carlo engine
-applies a margin.
+Every exact query reads one counting table per game (``exact.game_table``)
+and builds no split or merged game. Split scans, two-way and k-way alike,
+take the player out of the table by deconvolution and make one lookup into
+the player's window profiles per subset of a split's parts (see the comment
+above ``_subset_sums``). Merges, annexations and the monotonicity probe take
+each bloc's members out of the table and read the window of their combined
+weight (``exact.bloc_value``). Exact candidates are classified by comparing
+two rationals; only the Monte-Carlo engine applies a margin.
 """
 
 from __future__ import annotations
@@ -23,18 +25,16 @@ from typing import Iterable
 
 from .errors import BoundViolationError, InvalidMergeError, InvalidSplitError
 from .exact import (
-    DEFAULT_ENUMERATION_LIMIT,
     IndexKind,
+    bloc_value,
     critical_counts,
-    index,
-    remove_weight,
+    game_table,
+    remove_weight_pair,
     remove_weight_rows,
-    shapley_dp_values,
     shapley_value_from_pivots,
-    subset_size_weight_counts,
     tail,
 )
-from .game import Game, SplitSpec, apply_merge, apply_split, validate_coalition
+from .game import Game, SplitSpec, apply_split, validate_coalition
 from .montecarlo import McConfig, banzhaf_mc, derive_seed, shapley_mc
 
 
@@ -129,20 +129,6 @@ class GadgetVariant(str, Enum):
     ANNEX = "annex"
 
 
-def _player_values(game: Game, players, kind: IndexKind) -> dict[int, Fraction]:
-    """Index values for just the named players.
-
-    Shapley values above the enumeration limit come from one counting table
-    for the game with only the named players taken out of it
-    (``shapley_dp_values``); Banzhaf always needs the full count vector for
-    its denominator.
-    """
-    if kind is IndexKind.SHAPLEY_SHUBIK and game.num_players > DEFAULT_ENUMERATION_LIMIT:
-        return shapley_dp_values(game, players)
-    vec = index(game, kind)
-    return {p: vec[p] for p in players}
-
-
 def _classify(before: Fraction, after: Fraction, margin: Fraction | None) -> Classification:
     """Strict comparison when ``margin`` is None (exact), else outside +-margin."""
     high, low = (before, before) if margin is None else (before + margin, before - margin)
@@ -174,34 +160,9 @@ def _check_player(game: Game, player: int) -> None:
 # tail of w + 1 entries, reversed to be indexed by sum(U).
 #
 # Banzhaf also needs the n - 1 other players' total count at quota
-# q' = q - sum(U). Player i's count is the winning coalitions that contain i
-# minus the winning coalitions that do not (one that wins without i still
-# wins with i). Summed over m players, a winning S counts 2|S| - m. That sum
-# is 0 over all subsets, so it equals the sum of m - 2|S| over the losing
-# ones: m A(q'-1) - 2 B(q'-1), with A the cumulative subset count and B the
-# cumulative sum of subset sizes (the y-derivative at y = 1 of
-# prod(1 + y x^w_i) / (1 - x)). Adding a weight w maps (A, B) to
-# (A(1 + z), B + z(B + A)) with z = x^w, so taking a player out is
-# A_p = A / (1 + z) and B_p = (B - z A_p) / (1 + z): two removals per
-# player, none per pair.
-
-def two_way_table(game: Game, kind: IndexKind | str):
-    """The counting table every exact split scan of ``game`` reads.
-
-    Shapley-Shubik: ``subset_size_weight_counts`` over all players; Banzhaf:
-    the cumulative vectors ``(A, B)`` over all players (see the comment
-    above). Build it once per game and hand it to each player's
-    ``scan_two_way_splits(..., table=...)``.
-    """
-    if IndexKind(kind) is IndexKind.SHAPLEY_SHUBIK:
-        return subset_size_weight_counts(game.weights, game.quota)
-    a, b = [1] * game.quota, [0] * game.quota
-    for w in game.weights:
-        if w < game.quota:
-            b[w:] = [u + v + c for u, v, c in zip(b[w:], b, a)]
-            a[w:] = [u + v for u, v in zip(a[w:], a)]
-    return a, b
-
+# q' = q - sum(U). For m players that is m A(q'-1) - 2 B(q'-1), read from the
+# game's (A, B) table with the player taken out (see ``exact.game_table``):
+# two removals per player, none per pair.
 
 def _subset_sums(parts) -> list[int]:
     """Entry m is the sum of the parts whose bit is set in m."""
@@ -248,13 +209,12 @@ def _banzhaf_split_values(game: Game, player: int, k: int, table):
     H(sum(U)) = (n-1) A_p(q-1-sum(U)) - 2 B_p(q-1-sum(U)) to the other
     players' counts: their total at quota q - sum(U), since each player's
     count is the winning coalitions with it minus those without it (see the
-    comment above ``two_way_table``). The baseline is eta_p over the game's
+    comment above ``exact.game_table``). The baseline is eta_p over the game's
     total n A(q-1) - 2 B(q-1).
     """
     a, b = table
     n, w = game.num_players, game.weights[player]
-    a_p = remove_weight(a, w)
-    b_p = remove_weight(b[:w] + [x - y for x, y in zip(b[w:], a_p)], w)
+    a_p, b_p = remove_weight_pair(table, w)
     window = tail(a_p, w + 1)[::-1]
     h = [(n - 1) * x - 2 * y for x, y in zip(window, tail(b_p, w + 1)[::-1])]
     by_size = [[c * x for x in window] for c in range(k, -k - 1, -2)]  # c = k - 2u
@@ -301,7 +261,7 @@ def _report(spec, before, after, engine, margin) -> SplitReport:
 
 def _scan_exact(game: Game, player: int, kind: IndexKind, k: int, splits, table=None):
     """Score each k-part split in ``splits``; builds the table if not given."""
-    table = table or two_way_table(game, kind)
+    table = table or game_table(game, kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:
         before, after_total = _shapley_split_values(game, player, k, table)
     else:
@@ -329,7 +289,7 @@ def scan_two_way_splits(
     A weight-1 player has no candidates and yields an empty summary. The exact
     engine classifies by strict rational comparison; the Monte-Carlo engine
     uses ``margin`` (default twice the configured epsilon). ``table``, if
-    given, must be ``two_way_table(game, kind)``; scanning several players of
+    given, must be ``game_table(game, kind)``; scanning several players of
     one game with it builds the table once instead of once per player. The
     results are identical either way.
     """
@@ -457,10 +417,9 @@ def merge_benefit(game: Game, coalition: Iterable[int], kind: IndexKind | str) -
     members = validate_coalition(game, coalition)
     if len(members) < 2:
         raise InvalidMergeError("a merge needs at least two players")
-    values = _player_values(game, members, kind)
-    before = sum(values.values())
-    outcome = apply_merge(game, members)
-    after = _player_values(outcome.game, [outcome.merged_player], kind)[outcome.merged_player]
+    table = game_table(game, kind)
+    before = sum(bloc_value(game, [p], kind, table) for p in members)
+    after = bloc_value(game, members, kind, table)
     return MergeReport(
         coalition=tuple(sorted(members)),
         kind=kind,
@@ -481,9 +440,9 @@ def annex_benefit(
         raise InvalidMergeError(f"annexer {annexer} is a member of the annexed coalition")
     if not members:
         raise InvalidMergeError("nothing to annex")
-    before = _player_values(game, [annexer], kind)[annexer]
-    outcome = apply_merge(game, members | {annexer})
-    after = _player_values(outcome.game, [outcome.merged_player], kind)[outcome.merged_player]
+    table = game_table(game, kind)
+    before = bloc_value(game, [annexer], kind, table)
+    after = bloc_value(game, members | {annexer}, kind, table)
     return AnnexReport(
         annexer=annexer,
         annexed=tuple(sorted(members)),
@@ -500,26 +459,39 @@ def annex_monotonicity_probe(
     """Find non-monotone single-player annexations.
 
     Returns every triple (annexer, j, k) with w_j > w_k where annexing the
-    heavier player j yields a strictly smaller index than annexing k. For the
-    Shapley-Shubik kind the result is always empty.
+    heavier player j yields a strictly smaller index than annexing k. Every
+    bloc {annexer, j} is read from one counting table of the game, however
+    many targets there are. For the Shapley-Shubik kind the result is always
+    empty.
     """
     kind = IndexKind(kind)
     _check_player(game, annexer)
-    after = {}
-    for j in range(game.num_players):
-        if j == annexer:
-            continue
-        outcome = apply_merge(game, {annexer, j})
-        after[j] = _player_values(outcome.game, [outcome.merged_player], kind)[
-            outcome.merged_player
-        ]
-    witnesses = []
-    targets = sorted(after)
-    for j in targets:
-        for k in targets:
-            if game.weights[j] > game.weights[k] and after[j] < after[k]:
-                witnesses.append((annexer, j, k))
-    return witnesses
+    table = game_table(game, kind)
+    after = {
+        j: bloc_value(game, [annexer, j], kind, table)
+        for j in range(game.num_players)
+        if j != annexer
+    }
+    return [
+        (annexer, j, k)
+        for j in after
+        for k in after
+        if game.weights[j] > game.weights[k] and after[j] < after[k]
+    ]
+
+
+def _bounded_ratio(name: str, before, after, low, high, game: Game) -> Fraction | None:
+    """``after / before`` in [low, high] (numerator, denominator pairs), or None for 0 / 0."""
+    if before == 0:
+        if after != 0:
+            raise BoundViolationError(f"zero {name} payoff became {after} for {game}")
+        return None
+    ratio = after / before
+    if not Fraction(*low) <= ratio <= Fraction(*high):
+        raise BoundViolationError(
+            f"{name} ratio {ratio} outside [{low[0]}/{low[1]}, {high[0]}/{high[1]}] for {game}"
+        )
+    return ratio
 
 
 def check_split_bounds(game: Game, player: int, spec: SplitSpec) -> BoundReport:
@@ -530,22 +502,24 @@ def check_split_bounds(game: Game, player: int, spec: SplitSpec) -> BoundReport:
     two identities' criticality counts sum to exactly twice the original
     count; and a zero payoff stays zero. Any failure raises
     BoundViolationError, which indicates a bug, never an expected outcome.
+    The Shapley values come from the game's one counting table, as in a split
+    scan; the Banzhaf counts are counted again on the split game, so the
+    count identity checks the table engine against an independent count.
     """
     _check_player(game, player)
     if spec.player != player or len(spec.parts) != 2:
         raise InvalidSplitError("bound checks apply to two-part splits of the given player")
     n = game.num_players
     outcome = apply_split(game, spec)
-    a, b = outcome.new_players
 
-    sh_before = _player_values(game, [player], IndexKind.SHAPLEY_SHUBIK)[player]
-    sh_vec = _player_values(outcome.game, [a, b], IndexKind.SHAPLEY_SHUBIK)
-    sh_after = sh_vec[a] + sh_vec[b]
+    table = game_table(game, IndexKind.SHAPLEY_SHUBIK)
+    sh_before, after_total = _shapley_split_values(game, player, 2, table)
+    sh_after = after_total(spec.parts)
 
     counts = critical_counts(game)
     counts_after = critical_counts(outcome.game)
     eta_before = counts[player]
-    eta_pair = counts_after[a] + counts_after[b]
+    eta_pair = sum(counts_after[p] for p in outcome.new_players)
     bz_before = Fraction(eta_before, counts.total())
     bz_after = Fraction(eta_pair, counts_after.total())
 
@@ -554,26 +528,8 @@ def check_split_bounds(game: Game, player: int, spec: SplitSpec) -> BoundReport:
             f"criticality count identity failed: {eta_pair} != 2 * {eta_before} "
             f"for {game} split {spec.parts}"
         )
-    sh_ratio = None
-    bz_ratio = None
-    if sh_before == 0:
-        if sh_after != 0:
-            raise BoundViolationError(f"zero Shapley payoff became {sh_after} for {game}")
-    else:
-        sh_ratio = sh_after / sh_before
-        if not Fraction(2, n + 1) <= sh_ratio <= Fraction(2 * n, n + 1):
-            raise BoundViolationError(
-                f"Shapley ratio {sh_ratio} outside [2/{n + 1}, {2 * n}/{n + 1}] for {game}"
-            )
-    if bz_before == 0:
-        if bz_after != 0:
-            raise BoundViolationError(f"zero Banzhaf payoff became {bz_after} for {game}")
-    else:
-        bz_ratio = bz_after / bz_before
-        if not Fraction(1, n) <= bz_ratio <= 2:
-            raise BoundViolationError(
-                f"Banzhaf ratio {bz_ratio} outside [1/{n}, 2] for {game}"
-            )
+    sh_ratio = _bounded_ratio("Shapley", sh_before, sh_after, (2, n + 1), (2 * n, n + 1), game)
+    bz_ratio = _bounded_ratio("Banzhaf", bz_before, bz_after, (1, n), (2, 1), game)
     return BoundReport(
         spec=spec,
         num_players=n,
@@ -611,15 +567,8 @@ def unanimity_split_recommendation(game: Game) -> SplitSpec | None:
 
 
 def _divisors_desc(value: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            small.append(d)
-            if d != value // d:
-                large.append(value // d)
-        d += 1
-    return sorted(small + large, reverse=True)
+    small = [d for d in range(1, math.isqrt(value) + 1) if value % d == 0]
+    return sorted({*small, *(value // d for d in small)}, reverse=True)
 
 
 def high_quota_split_recommendation(game: Game, player: int) -> SplitSpec | None:

@@ -24,7 +24,7 @@ from .exact import (
     shapley_dp_vector,
     shapley_enumerate,
 )
-from .game import Game, SplitSpec, apply_split
+from .game import Game, SplitSpec, apply_merge, apply_split
 from .manipulation import (
     Classification,
     GadgetVariant,
@@ -367,8 +367,15 @@ def _random_game(rng: random.Random, max_players: int = 8, max_weight: int = 12)
     return Game(rng.randint(1, sum(weights)), weights)
 
 
+def _enumerated(game: Game, kind: IndexKind):
+    if kind is SH:
+        return shapley_enumerate(game)
+    return normalize_banzhaf(banzhaf_counts_enumerate(game))
+
+
 def run_oracle_suite(trials: int, seed: int) -> list[FixtureResult]:
-    """DP against enumeration, normalization/symmetry/dummy/scaling, three-way splits."""
+    """DP against enumeration, normalization/symmetry/dummy/scaling, three-way
+    splits, and merges and annexations against enumeration of the merged game."""
     rng = random.Random(seed)
     for t in range(trials):
         game = _random_game(rng)
@@ -395,16 +402,23 @@ def run_oracle_suite(trials: int, seed: int) -> list[FixtureResult]:
         if index(scaled, SH) != sh_enum or index(scaled, BZ) != normalize_banzhaf(bz_enum):
             return [FixtureResult("oracle", "scale-invariance", False, str(game))]
         player = rng.randrange(game.num_players)
-        for kind, before in ((SH, sh_enum[player]), (BZ, normalize_banzhaf(bz_enum)[player])):
+        # the player merges with, or annexes, every second other player
+        annexed = [p for p in range(game.num_players) if p != player][::2]
+        merged = apply_merge(game, [player, *annexed])
+        for kind, vec in ((SH, sh_enum), (BZ, normalize_banzhaf(bz_enum))):
+            before = vec[player]
             for report in scan_k_way_splits(game, player, 3, kind).reports:
                 split = apply_split(game, report.spec)
-                if kind is SH:
-                    vec = shapley_enumerate(split.game)
-                else:
-                    vec = normalize_banzhaf(banzhaf_counts_enumerate(split.game))
-                after = sum(vec[p] for p in split.new_players)
+                split_vec = _enumerated(split.game, kind)
+                after = sum(split_vec[p] for p in split.new_players)
                 if (report.payoff_before, report.payoff_after_total) != (before, after):
                     return [FixtureResult("oracle", "k-way-matches-enumeration", False, str(game))]
+            after = _enumerated(merged.game, kind)[merged.merged_player]
+            merge = merge_benefit(game, [player, *annexed], kind)
+            annex = annex_benefit(game, player, annexed, kind)
+            got = merge.payoff_before_total, merge.payoff_after, annex.payoff_before, annex.payoff_after
+            if got != (before + sum(vec[p] for p in annexed), after, before, after):
+                return [FixtureResult("oracle", "merge-annex-match-enumeration", False, str(game))]
     return [FixtureResult("oracle", f"engines-agree-on-{trials}-random-games", True)]
 
 

@@ -213,6 +213,8 @@ class TestRefusedInputs:
             (("experiment", "--mu", "1e308"), "weight_mean"),
             (("experiment", "--mu", "1e300", "--sigmas", "1"), "weight_mean"),
             (("experiment", "--sigmas", "5,1e300"), "sigma"),
+            (("experiment", "--sigmas", "abc"), "sigma"),
+            (("experiment", "--sigmas", "5,x"), "sigma"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
     )
@@ -221,6 +223,13 @@ class TestRefusedInputs:
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert name in err and len(err) < 100
+
+    @pytest.mark.parametrize("players", ["5:x", "5:6:7", "x", ":6"])
+    def test_malformed_player_range_names_players(self, capsys, players):
+        code, out, err = run_cli(capsys, "experiment", "--games-per-cell", "1", "--players", players)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "players" in err and len(err) < 100
 
 
 class TestVerifyCommand:

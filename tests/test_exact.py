@@ -14,6 +14,7 @@ from wvg import (
     IndexKind,
     SizeLimitError,
     WvgError,
+    apply_merge,
     banzhaf_counts_dp_vector,
     banzhaf_counts_enumerate,
     index,
@@ -22,10 +23,11 @@ from wvg import (
     shapley_enumerate,
 )
 from wvg.exact import (
+    bloc_value,
     fraction_to_decimal,
+    game_table,
     remove_weight,
     remove_weight_rows,
-    shapley_dp_values,
     subset_size_weight_counts,
     subset_weight_counts,
     tail,
@@ -33,6 +35,7 @@ from wvg.exact import (
 )
 
 from _oracles import (
+    banzhaf_by_subsets,
     banzhaf_counts_by_subsets,
     random_game,
     shapley_by_permutations,
@@ -161,7 +164,13 @@ class TestOracleEquivalence:
         rows = subset_size_weight_counts(game.weights, game.quota)
         pivots = [window_count(r, 2) for r in remove_weight_rows(rows, 2)]
         assert pivots == [0, 0, 0, 4, 1]
-        assert shapley_dp_values(game, [0]) == {0: Fraction(2, 5)}
+        assert bloc_value(game, [0], SH, rows) == Fraction(2, 5)
+        # the bloc {0, 1} of weight 3: sizes 1..2 of the three other 1s reach [2, 4]
+        bloc_rows = remove_weight_rows(remove_weight_rows(rows, 2), 1)
+        assert [window_count(r, 3) for r in bloc_rows] == [0, 0, 3, 1]
+        merged = apply_merge(game, [0, 1])
+        assert bloc_value(game, [0, 1], SH, rows) == Fraction(1, 2)
+        assert shapley_by_subsets(merged.game)[merged.merged_player] == Fraction(1, 2)
 
     def test_larger_games_up_to_the_enumeration_limit(self):
         rng = random.Random(31)
@@ -187,11 +196,21 @@ class TestNamedPlayerValues:
     def test_match_the_vector_and_the_oracle(self, case):
         game, players = case
         assert game.num_players > DEFAULT_ENUMERATION_LIMIT
-        values = shapley_dp_values(game, players)
+        table = game_table(game, SH)
+        values = {p: bloc_value(game, [p], SH, table) for p in players}
         vector = shapley_dp_vector(game)
         oracle = shapley_by_subsets(game)
         assert values == {p: vector[p] for p in players}
         assert values == {p: oracle[p] for p in players}
+
+    @given(games_above_the_limit(), st.sampled_from([SH, BZ]))
+    @settings(max_examples=10, deadline=None)
+    def test_bloc_matches_the_oracle_on_the_merged_game(self, case, kind):
+        game, players = case
+        merged = apply_merge(game, players)
+        oracle = shapley_by_subsets if kind is SH else banzhaf_by_subsets
+        value = bloc_value(game, players, kind, game_table(game, kind))
+        assert value == oracle(merged.game)[merged.merged_player]
 
 
 weight_lists = st.lists(st.integers(1, 12), max_size=7)
@@ -230,6 +249,11 @@ class TestCountingTables:
         for p, w in enumerate(game.weights):
             others = [x for i, x in enumerate(game.weights) if i != p]
             assert list(remove_weight_rows(rows, w)) == subset_size_weight_counts(others, q)
+        # chained: the second removal reads the first one's rows as they arrive
+        first, *rest = game.weights
+        if rest:
+            chained = remove_weight_rows(remove_weight_rows(iter(rows), first), rest[0])
+            assert list(chained) == subset_size_weight_counts(rest[1:], q)
 
     def test_windows_reaching_below_weight_zero(self):
         table = subset_weight_counts([2, 3], 4)  # plain counts 1, 0, 1, 1

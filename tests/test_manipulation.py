@@ -20,6 +20,7 @@ from wvg import (
     SplitSpec,
     annex_benefit,
     annex_monotonicity_probe,
+    apply_merge,
     apply_split,
     check_split_bounds,
     find_split_approx,
@@ -31,7 +32,7 @@ from wvg import (
     unanimity_split_recommendation,
 )
 from wvg import exact, manipulation
-from wvg.manipulation import two_way_table
+from wvg.exact import game_table
 
 from _oracles import banzhaf_by_subsets, banzhaf_counts_by_subsets, shapley_by_subsets
 
@@ -142,19 +143,19 @@ class TestBanzhafTableWork:
     @staticmethod
     def _count_removals(monkeypatch):
         calls = []
-        original = manipulation.remove_weight
+        original = exact.remove_weight
 
         def counting(*args):
             calls.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(manipulation, "remove_weight", counting)
+        monkeypatch.setattr(exact, "remove_weight", counting)
         return calls
 
     @pytest.mark.parametrize("game", GAMES, ids=str)
     def test_game_scan_removes_each_player_twice(self, monkeypatch, game):
         calls = self._count_removals(monkeypatch)
-        table = two_way_table(game, BZ)
+        table = game_table(game, BZ)
         assert calls == []
         for player, w in enumerate(game.weights):
             scan_two_way_splits(game, player, BZ, table=table)
@@ -185,7 +186,7 @@ def banzhaf_games(draw):
 def test_banzhaf_table_counts_every_swing(game):
     """A counts and B sums the sizes of the subsets up to each weight; n A(q-1) - 2 B(q-1)
     is the total swing count."""
-    a, b = two_way_table(game, BZ)
+    a, b = game_table(game, BZ)
     assert a == exact.subset_weight_counts(game.weights, game.quota)
     subsets = [
         sub for r in range(game.num_players + 1) for sub in combinations(game.weights, r)
@@ -194,11 +195,14 @@ def test_banzhaf_table_counts_every_swing(game):
     assert game.num_players * a[-1] - 2 * b[-1] == sum(banzhaf_counts_by_subsets(game))
 
 
-class TestShapleyTablesPerQuery:
-    """Above the enumeration limit a Shapley-Shubik query builds one
-    size-by-weight table per game it reads, never one per player."""
+GAME_16 = Game(70, (12, 11, 10, 9, 9, 8, 8, 7, 7, 6, 5, 5, 4, 3, 2, 1))
 
-    GAME = Game(70, (12, 11, 10, 9, 9, 8, 8, 7, 7, 6, 5, 5, 4, 3, 2, 1))
+
+class TestShapleyTablesPerQuery:
+    """A Shapley-Shubik query builds one size-by-weight table of the game and
+    no merged or split game's table, never one per player or per target."""
+
+    GAME = GAME_16
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -214,15 +218,101 @@ class TestShapleyTablesPerQuery:
 
     def test_merge_of_three(self, tables):
         merge_benefit(self.GAME, {0, 5, 9}, SH)
-        assert tables == [16, 14]
+        assert tables == [16]
 
     def test_split_bounds(self, tables):
         check_split_bounds(self.GAME, 3, SplitSpec(3, (5, 4)))
-        assert tables == [16, 17]
+        assert tables == [16]
 
     def test_annex(self, tables):
         annex_benefit(self.GAME, 0, {4, 7}, SH)
-        assert tables == [16, 14]
+        assert tables == [16]
+
+    def test_probe(self, tables):
+        assert annex_monotonicity_probe(self.GAME, 2, SH) == []
+        assert tables == [16]
+
+
+class TestBanzhafTablesPerQuery:
+    """A Banzhaf merge, annexation or probe builds one (A, B) table of the
+    game and no count vector of any game."""
+
+    GAME = GAME_16
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        kinds = []
+        original = manipulation.game_table
+
+        def counting(game, kind):
+            kinds.append((game, kind))
+            return original(game, kind)
+
+        def refused(*args):
+            raise AssertionError("a count vector was built")
+
+        monkeypatch.setattr(manipulation, "game_table", counting)
+        monkeypatch.setattr(exact, "subset_weight_counts", refused)
+        monkeypatch.setattr(exact, "banzhaf_counts_enumerate", refused)
+        return kinds
+
+    def test_merge_of_three(self, tables):
+        merge_benefit(self.GAME, {0, 5, 9}, BZ)
+        assert tables == [(self.GAME, BZ)]
+
+    def test_annex(self, tables):
+        annex_benefit(self.GAME, 0, {4, 7}, BZ)
+        assert tables == [(self.GAME, BZ)]
+
+    def test_probe(self, tables):
+        annex_monotonicity_probe(self.GAME, 2, BZ)
+        assert tables == [(self.GAME, BZ)]
+
+
+@st.composite
+def bloc_cases(draw):
+    """A game of up to 8 players (quota 1, the largest weight, the total or
+    random), a bloc of at least two players and an annexer with a nonempty
+    coalition of others."""
+    weights = draw(st.lists(st.integers(1, 9), min_size=2, max_size=8))
+    quota = draw(st.sampled_from((1, max(weights), sum(weights))) | st.integers(1, sum(weights)))
+    n = len(weights)
+    bloc = draw(st.sets(st.integers(0, n - 1), min_size=2))
+    annexer = draw(st.integers(0, n - 1))
+    others = st.integers(0, n - 1).filter(lambda p: p != annexer)
+    return Game(quota, tuple(weights)), bloc, annexer, draw(st.sets(others, min_size=1))
+
+
+@given(bloc_cases(), st.sampled_from([SH, BZ]))
+@settings(max_examples=120, deadline=None)
+@example((Game(3, (1, 1, 1)), {0, 1, 2}, 0, {1, 2}), SH)  # every player merged
+@example((Game(3, (1, 1, 1)), {0, 1, 2}, 0, {1, 2}), BZ)
+@example((Game(4, (3, 3, 1, 1)), {0, 1}, 2, {0, 3}), SH)  # blocs heavier than the quota
+@example((Game(4, (3, 3, 1, 1)), {0, 1}, 2, {0, 3}), BZ)
+@example((Game(1, (2, 5, 1)), {1, 2}, 1, {0}), BZ)
+def test_blocs_match_the_oracle_on_merged_games(case, kind):
+    """Merge, annex and probe values equal the oracle on ``apply_merge``'d games."""
+    game, bloc, annexer, annexed = case
+    oracle = shapley_by_subsets if kind is SH else banzhaf_by_subsets
+
+    def merged_value(members):
+        outcome = apply_merge(game, members)
+        return oracle(outcome.game)[outcome.merged_player]
+
+    values = oracle(game)
+    merge = merge_benefit(game, bloc, kind)
+    assert merge.payoff_before_total == sum(values[p] for p in bloc)
+    assert merge.payoff_after == merged_value(bloc)
+    annex = annex_benefit(game, annexer, annexed, kind)
+    assert annex.payoff_before == values[annexer]
+    assert annex.payoff_after == merged_value(annexed | {annexer})
+    after = {j: merged_value({annexer, j}) for j in range(game.num_players) if j != annexer}
+    assert annex_monotonicity_probe(game, annexer, kind) == [
+        (annexer, j, k)
+        for j in sorted(after)
+        for k in sorted(after)
+        if game.weights[j] > game.weights[k] and after[j] < after[k]
+    ]
 
 
 class TestKWayScan:
@@ -283,7 +373,9 @@ class TestKWayScan:
     @pytest.mark.parametrize("kind", [SH, BZ], ids=["shapley", "banzhaf"])
     def test_never_rebuilds_the_game(self, monkeypatch, kind):
         calls = []
-        for name in ("apply_split", "index"):
+        # exact values come from the game table alone: no index, no merged game
+        assert not hasattr(manipulation, "index") and not hasattr(manipulation, "apply_merge")
+        for name in ("apply_split", "critical_counts"):
             monkeypatch.setattr(manipulation, name, lambda *args, _name=name: calls.append(_name))
         summary = scan_k_way_splits(Game(40, (12, 12, 7, 5, 5, 3, 1)), 0, 3, kind)
         assert summary.total_splits == 12
