@@ -1,28 +1,32 @@
 """Exact power indices: subset enumeration for small games, counting DP beyond.
 
 Both engines return exact rationals and must agree bit for bit. All counting
-uses unbounded Python integers; criticality counts reach 2**n, so fixed-width
-arithmetic is never acceptable in this module.
+uses unbounded Python integers; criticality counts reach 2**n, so no fixed
+width is assumed: a counting table's slot width grows with its player count.
 
-The DP builds one counting table per game (``game_table``): entry x counts
+The DP builds one counting table per game (``game_table``): cell x counts
 the coalitions of all players (per size, for Shapley-Shubik) with weight at
-most x, for x below the quota q. Each player, or bloc of players merged into
-one, whose value is asked for is taken back out of that table by
-deconvolution, which gives the same counts over the other players.
-Criticality of a player with weight w only asks whether a coalition weight
-lies in the window [q - w, q - 1], so its count is two lookups
-(``window_count``) and memory stays O(q) per size class.
+most x, for x below the quota q. The table is one int, each cell a slot of
+it (``PackedTable``), so building it, and taking a player back out, are a few
+shifts, adds and masks over the whole table instead of a loop over cells.
+Each player, or bloc of players merged into one, whose value is asked for is
+taken back out of that table by deconvolution, which gives the same counts
+over the other players. Criticality of a player with weight w only asks
+whether a coalition weight lies in the window [q - w, q - 1], so its count is
+two reads (``window_count``) and memory stays O(q) slots per size class.
 """
 
 from __future__ import annotations
 
 import decimal
-from collections.abc import Iterator
-from dataclasses import dataclass
+import sys
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import pairwise
-from math import factorial
+from math import comb, factorial
+from operator import sub
 
 from .errors import SizeLimitError, WvgError
 from .game import Game
@@ -102,67 +106,164 @@ def shapley_value_from_pivots(counts_by_size, num_players: int) -> Fraction:
 # Every exact query builds one table per game (``game_table``), takes players
 # out of it by deconvolution and reads windows of it, instead of rebuilding a
 # table per player, per merged bloc or per candidate split. Tables are
-# cumulative: with c the plain counts, entry x holds c[0] + ... + c[x], the
-# coefficient of z^x in prod(1 + z^w_i) / (1 - z). Adding and removing a
-# weight commute with that prefix sum, so they keep the plain-count
-# recurrences, and every window of the plain counts is a difference of two
-# entries.
+# cumulative: with c the plain counts, cell x holds c[0] + ... + c[x], the
+# coefficient of z^x in prod(1 + z^w_i) / (1 - z) (of y^k z^x in
+# prod(1 + y z^w_i) / (1 - z) for the size-by-weight table). Adding and
+# removing a weight commute with that prefix sum, so every window of the
+# plain counts is a difference of two cells.
+#
+# A table is packed into one int (Kronecker substitution): cell (k, x) is slot
+# x * stride + k, with stride n + 1 for the size-by-weight table and 1 for a
+# vector. Multiplying by u = y z^w (z^w in a vector) is a left shift by
+# w * stride + 1 (w) slots, so adding a player is one shift, add and mask, and
+# taking one out multiplies by (1 + u)^-1 = (1 - u)(1 + u^2)(1 + u^4)...,
+# about log2(q / w) such steps. Packing is a ring homomorphism from the
+# truncated polynomials onto the integers modulo 2^(bits * slots), and every
+# true cell lies in [0, 2^bits), so the result is exact even though
+# intermediate values wrap. A slot is as many whole bytes as the largest true
+# cell needs.
 
-def subset_weight_counts(weights, cap: int) -> list[int]:
-    """vec[x] = number of subsets of ``weights`` with total weight at most x, x < ``cap``."""
-    vec = [1] * cap
+# Array type codes by item size in bytes; a slot is read as the narrowest
+# item that holds it.
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_ITEM_SIZES = sorted(_TYPECODES)
+
+
+@dataclass(frozen=True)
+class PackedTable:
+    """A cumulative counting table in one int: cell (k, x) is slot x * stride + k.
+
+    ``cap`` weights x = 0 .. cap - 1 of ``stride`` slots each, ``bits`` bits
+    per slot, lowest slot first. A stride above 1 makes it a size-by-weight
+    table, whose cell (k, x) counts size-k subsets; with stride 1 it is a
+    vector (a size table of no players is the vector of its size-0 cells).
+    """
+
+    value: int
+    bits: int
+    stride: int
+    cap: int
+
+
+def _slot_bits(largest: int) -> int:
+    """Slot width in whole bytes holding every value up to ``largest``."""
+    return -(-largest.bit_length() // 8) * 8
+
+
+def _mask(table: PackedTable) -> int:
+    return (1 << table.cap * table.stride * table.bits) - 1
+
+
+def _empty(cap: int, stride: int, bits: int) -> PackedTable:
+    """The cumulative table of no players: slot x * stride is 1 for every x."""
+    weight = (1).to_bytes(bits // 8, "little") + bytes((stride - 1) * bits // 8)
+    return PackedTable(int.from_bytes(weight * cap, "little"), bits, stride, cap)
+
+
+def _shift(table: PackedTable, w: int) -> int:
+    """Bits a cell moves when a weight-``w`` player joins: w weights, plus one size."""
+    return (w * table.stride + (table.stride > 1)) * table.bits
+
+
+def _add_weights(table: PackedTable, weights) -> PackedTable:
+    v, mask = table.value, _mask(table)
     for w in weights:
-        if w < cap:
-            vec[w:] = [a + b for a, b in zip(vec[w:], vec)]
-    return vec
+        if w < table.cap:
+            v = (v + (v << _shift(table, w))) & mask
+    return replace(table, value=v)
 
 
-def remove_weight(vec, w: int) -> list[int]:
-    """Take one player of weight ``w`` out of a table: ``out[x] = vec[x] - out[x - w]``."""
-    out = list(vec)
-    for x in range(w, len(out)):
-        out[x] -= out[x - w]
+def subset_weight_counts(weights, cap: int) -> PackedTable:
+    """Slot x: subsets of ``weights`` with weight at most x, x < ``cap``; at most 2^n."""
+    return _add_weights(_empty(cap, 1, _slot_bits(1 << len(weights))), weights)
+
+
+def subset_size_weight_counts(weights, cap: int) -> PackedTable:
+    """Cell (k, x): size-k subsets of ``weights`` with weight at most x, x < ``cap``.
+
+    A size-k count is at most C(n, k) <= C(n, n // 2).
+    """
+    n = len(weights)
+    return _add_weights(_empty(cap, n + 1, _slot_bits(comb(n, n // 2))), weights)
+
+
+def remove_weight(table: PackedTable, w: int) -> PackedTable:
+    """Take one player of weight ``w`` out of a table: divide by 1 + u, u its
+    shift, as (1 + u^2)(1 + u^4)...(1 - u) up to the table's top slot.
+
+    Each step shifts only the bits that stay below the top, so no temporary
+    outgrows the table, and one mask at the end drops the carries above it.
+    """
+    s, mask = _shift(table, w), _mask(table)
+    size = mask.bit_length()
+    if s >= size:  # a player of weight cap or more never entered the table
+        return table
+    v, t = table.value, 2 * s
+    while t < size:
+        v += (v & (1 << size - t) - 1) << t
+        t *= 2
+    v -= (v & (1 << size - s) - 1) << s
+    return replace(table, value=v & mask)
+
+
+def without(table, weights):
+    """A ``game_table`` of either kind with players of ``weights`` taken out.
+
+    A Banzhaf player of weight w leaves A_p = A / (1 + u) and
+    B_p = (B - u A_p) / (1 + u), u = z^w: two removals.
+    """
+    for w in weights:
+        if isinstance(table, PackedTable):
+            table = remove_weight(table, w)
+        else:
+            a, b = table
+            a = remove_weight(a, w)
+            b = replace(b, value=(b.value - (a.value << _shift(a, w))) & _mask(b))
+            table = a, remove_weight(b, w)
+    return table
+
+
+def slots(table: PackedTable, lo: int, hi: int) -> Sequence[int]:
+    """The slots of weights lo <= x < hi <= cap, weight-major; weights below 0 read 0.
+
+    One shift and one ``int.to_bytes``, then an ``array`` of the narrowest
+    item that holds a slot, each slot's bytes padded to the item size
+    (``int.from_bytes`` per slot beyond 8 bytes). Bytes are little-endian;
+    a big-endian host swaps each item.
+    """
+    start, stop = max(lo, 0), max(hi, 0)
+    per_weight = table.stride * table.bits
+    v = table.value >> start * per_weight
+    if stop < table.cap:
+        v &= (1 << (stop - start) * per_weight) - 1
+    cell = table.bits // 8
+    data = bytes((min(hi, 0) - min(lo, 0)) * table.stride * cell)
+    data += v.to_bytes((stop - start) * table.stride * cell, "little")
+    item = next((size for size in _ITEM_SIZES if size >= cell), None)
+    if item is None:
+        return [int.from_bytes(data[i:i + cell], "little") for i in range(0, len(data), cell)]
+    if item > cell:
+        wide = bytearray(len(data) // cell * item)
+        for i in range(cell):
+            wide[i::item] = data[i::cell]
+        data = wide
+    out = array(_TYPECODES[item], data)
+    if sys.byteorder == "big":
+        out.byteswap()
     return out
 
 
-def remove_weight_rows(rows, w: int) -> Iterator[list[int]]:
-    """Invert one player of weight ``w`` out of a ``subset_size_weight_counts`` table.
-
-    The size-by-weight form of ``remove_weight``:
-    ``out[k][x] = rows[k][x] - out[k-1][x-w]``. ``rows`` may be any iterable,
-    such as another removal: rows are yielded one fewer, in order of size k,
-    as they are known (the first is ``rows``' own), so a chain of removals
-    never holds a second table.
-    """
-    cur = None
-    for row, _ in pairwise(rows):
-        cur = row if cur is None else row[:w] + [a - b for a, b in zip(row[w:], cur)]
-        yield cur
+def tail(table: PackedTable, width: int) -> Sequence[int]:
+    """The slots of the last ``width`` >= 1 weights, x = q - width .. q - 1, for
+    cap q: P(q - width), ..., P(q - 1), each ``stride`` slots long."""
+    return slots(table, table.cap - width, table.cap)
 
 
-def subset_size_weight_counts(weights, cap: int) -> list[list[int]]:
-    """rows[k][x] = number of size-k subsets of ``weights`` with weight at most x, x < ``cap``."""
-    rows = [[1] * cap] + [[0] * cap for _ in weights]
-    for idx, w in enumerate(weights):
-        if w >= cap:
-            continue
-        for k in range(idx, -1, -1):
-            row, tgt = rows[k], rows[k + 1]
-            tgt[w:] = [a + b for a, b in zip(tgt[w:], row)]
-    return rows
-
-
-def tail(table, width: int) -> list[int]:
-    """The last ``width`` >= 1 entries of a cumulative table, as [P(q-width), ..., P(q-1)].
-
-    P(x) = 0 below weight 0, so a window reaching below it is zero-padded.
-    """
-    return [0] * (width - len(table)) + table[-width:]
-
-
-def window_count(table, w: int) -> int:
-    """Coalitions a weight-``w`` player is critical for: P(q-1) - P(q-w-1)."""
-    return table[-1] - (table[-w - 1] if w < len(table) else 0)
+def window_count(table: PackedTable, w: int) -> list[int]:
+    """Per size (one entry for a vector), the coalitions a weight-``w``
+    player is critical for: P(q - 1) - P(q - w - 1)."""
+    q = table.cap
+    return list(map(sub, tail(table, 1), slots(table, q - w - 1, q - w)))
 
 
 # Banzhaf reads two cumulative vectors: A counts the subsets and B sums their
@@ -170,7 +271,8 @@ def window_count(table, w: int) -> int:
 # without it, so over m players a winning S counts 2|S| - m. That sum is 0
 # over all subsets, so m players' total at quota q' is the sum of m - 2|S|
 # over the losing S: m A(q'-1) - 2 B(q'-1). Adding a weight w maps (A, B) to
-# (A(1 + u), B + u(B + A)) with u = z^w; ``remove_weight_pair`` inverts it.
+# (A(1 + u), B + u(B + A)) with u = z^w; ``without`` inverts it. A is at most
+# 2^n and B at most n 2^(n-1), so B sets the slot width of both.
 #
 # A bloc M of weight W merged into one player leaves N = n - |M| + 1 players.
 # With M taken out of the table, the bloc is critical for the coalitions in
@@ -182,19 +284,20 @@ def game_table(game: Game, kind: IndexKind | str):
     Shapley-Shubik ``subset_size_weight_counts``, for Banzhaf ``(A, B)``."""
     if IndexKind(kind) is IndexKind.SHAPLEY_SHUBIK:
         return subset_size_weight_counts(game.weights, game.quota)
-    a, b = [1] * game.quota, [0] * game.quota
+    n = game.num_players
+    a = _empty(game.quota, 1, _slot_bits(max(1 << n, n << n >> 1)))
+    av, bv, mask = a.value, 0, _mask(a)
     for w in game.weights:
         if w < game.quota:
-            b[w:] = [u + v + c for u, v, c in zip(b[w:], b, a)]
-            a[w:] = [u + v for u, v in zip(a[w:], a)]
-    return a, b
+            s = _shift(a, w)
+            bv = (bv + ((bv + av) << s)) & mask
+            av = (av + (av << s)) & mask
+    return replace(a, value=av), replace(a, value=bv)
 
 
-def remove_weight_pair(table, w: int) -> tuple[list[int], list[int]]:
-    """Take one player of weight ``w`` out of a Banzhaf ``(A, B)`` table."""
-    a, b = table
-    a_p = remove_weight(a, w)
-    return a_p, remove_weight(b[:w] + [x - y for x, y in zip(b[w:], a_p)], w)
+def top(table: PackedTable) -> int:
+    """P(q - 1) of a vector."""
+    return table.value >> (table.cap - 1) * table.bits
 
 
 def bloc_value(game: Game, members, kind: IndexKind | str, table) -> Fraction:
@@ -203,15 +306,12 @@ def bloc_value(game: Game, members, kind: IndexKind | str, table) -> Fraction:
     kind = IndexKind(kind)
     weights = [game.weights[p] for p in members]
     merged, players = sum(weights), game.num_players - len(weights) + 1
+    table = without(table, weights)
     if kind is IndexKind.SHAPLEY_SHUBIK:
-        for w in weights:
-            table = remove_weight_rows(table, w)
-        return shapley_value_from_pivots([window_count(r, merged) for r in table], players)
-    for w in weights:
-        table = remove_weight_pair(table, w)
+        return shapley_value_from_pivots(window_count(table, merged)[:players], players)
     a, b = table
-    eta = window_count(a, merged)
-    others = (players - 1) * (2 * a[-1] - eta) - 2 * (2 * b[-1] - window_count(b, merged))
+    [eta] = window_count(a, merged)
+    others = (players - 1) * (2 * top(a) - eta) - 2 * (2 * top(b) - window_count(b, merged)[0])
     return Fraction(eta, eta + others)
 
 
@@ -303,8 +403,9 @@ def banzhaf_counts_enumerate(game: Game) -> CriticalCounts:
 # --- dynamic-programming engine ---------------------------------------------
 
 def shapley_dp_vector(game: Game) -> IndexVector:
-    """Every player's Shapley-Shubik index: one O(n^2 * q) table for quota q,
-    then each player's singleton bloc taken out of it in O(n * q)."""
+    """Every player's Shapley-Shubik index: one table of (n + 1) q slots for
+    quota q, then each player's singleton bloc taken out of it in about
+    log2(q / w) packed steps (see the comment above ``PackedTable``)."""
     kind = IndexKind.SHAPLEY_SHUBIK
     table = game_table(game, kind)
     values = (bloc_value(game, [p], kind, table) for p in range(game.num_players))
@@ -312,9 +413,9 @@ def shapley_dp_vector(game: Game) -> IndexVector:
 
 
 def banzhaf_counts_dp_vector(game: Game) -> CriticalCounts:
-    """Every player's critical-coalition count: one O(n * q) table, one O(q) removal each."""
+    """Every player's critical-coalition count: one vector of q slots, one removal each."""
     vec = subset_weight_counts(game.weights, game.quota)
-    return CriticalCounts(tuple(window_count(remove_weight(vec, w), w) for w in game.weights))
+    return CriticalCounts(tuple(window_count(remove_weight(vec, w), w)[0] for w in game.weights))
 
 
 def normalize_banzhaf(counts: CriticalCounts) -> IndexVector:

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from operator import mul, sub
 from typing import Iterable
 
 from .errors import BoundViolationError, InvalidMergeError, InvalidSplitError
@@ -29,10 +30,10 @@ from .exact import (
     bloc_value,
     critical_counts,
     game_table,
-    remove_weight_pair,
-    remove_weight_rows,
     shapley_value_from_pivots,
     tail,
+    top,
+    without,
 )
 from .game import Game, SplitSpec, apply_split, validate_coalition
 from .montecarlo import McConfig, banzhaf_mc, derive_seed, shapley_mc
@@ -155,9 +156,9 @@ def _check_player(game: Game, player: int) -> None:
 # the sum over nonempty V and a in V of P(q-1-sum(V)+a) - P(q-1-sum(V)): one
 # lookup per subset U of the parts, weighted k - |U| (U = V - {a}, once per a
 # outside U) and -|U| (U = V). Shapley-Shubik weights a coalition by its size,
-# so there P becomes F_t, a weighted sum of the table's size rows with
-# t = |V| - 1. Lookups lie in [q-w-1, q-1], so each profile is the table's
-# tail of w + 1 entries, reversed to be indexed by sum(U).
+# so there P becomes F_t, a weighted sum of the table's size classes with
+# t = |V| - 1. Lookups lie in [q-w-1, q-1], so each profile is read from the
+# table's last w + 1 weights, reversed to be indexed by sum(U).
 #
 # Banzhaf also needs the n - 1 other players' total count at quota
 # q' = q - sum(U). For m players that is m A(q'-1) - 2 B(q'-1), read from the
@@ -175,22 +176,21 @@ def _subset_sums(parts) -> list[int]:
 def _shapley_split_values(game: Game, player: int, k: int, table):
     """Return the baseline value and the after-total function of k parts.
 
-    With N = n + k - 1 players after the split, P_s row s of the table
-    without the player and F_t = sum_s (s+t)!(N-1-s-t)! P_s, a subset U of
+    With N = n + k - 1 players after the split, P_s the size-s cells of the
+    table without the player and F_t = sum_s (s+t)!(N-1-s-t)! P_s, a subset U of
     the parts adds, over N!,
     (k - |U|) F_|U|(q-1-sum(U)) - |U| F_(|U|-1)(q-1-sum(U)).
     """
     n, w = game.num_players, game.weights[player]
     total_players = n + k - 1
     fact = [math.factorial(i) for i in range(total_players + 1)]
-    f = [[0] * (w + 1) for _ in range(k + 1)]  # F_0 .. F_(k-1); f[k] = 0 is F_k and F_-1
-    pivots = []
-    for s, row in enumerate(remove_weight_rows(table, w)):
-        pref = tail(row, w + 1)
-        pivots.append(pref[w] - pref[0])
-        for t in range(k):
-            c = fact[s + t] * fact[total_players - 1 - s - t]
-            f[t] = [x + c * p for x, p in zip(f[t], pref)]
+    window = tail(without(table, [w]), w + 1)
+    # sizes 0 .. n - 1 of P at x = q - w - 1 .. q - 1
+    columns = [window[i:i + n] for i in range(0, len(window), table.stride)]
+    pivots = list(map(sub, columns[-1], columns[0]))
+    coeffs = [[fact[s + t] * fact[total_players - 1 - s - t] for s in range(n)] for t in range(k)]
+    f = [[sum(map(mul, c, col)) for col in columns] for c in coeffs]  # F_0 .. F_(k-1)
+    f.append([0] * (w + 1))  # F_k and F_-1
     by_size = [[(k - u) * x - u * y for x, y in zip(f[u], f[u - 1])] for u in range(k + 1)]
     by_mask = [by_size[bin(m).count("1")][::-1] for m in range(1 << k)]
     denominator = fact[total_players]
@@ -214,7 +214,7 @@ def _banzhaf_split_values(game: Game, player: int, k: int, table):
     """
     a, b = table
     n, w = game.num_players, game.weights[player]
-    a_p, b_p = remove_weight_pair(table, w)
+    a_p, b_p = without(table, [w])
     window = tail(a_p, w + 1)[::-1]
     h = [(n - 1) * x - 2 * y for x, y in zip(window, tail(b_p, w + 1)[::-1])]
     by_size = [[c * x for x in window] for c in range(k, -k - 1, -2)]  # c = k - 2u
@@ -225,7 +225,7 @@ def _banzhaf_split_values(game: Game, player: int, k: int, table):
         own = sum(map(list.__getitem__, by_mask, sums))
         return Fraction(own, own + sum(map(h.__getitem__, sums)))
 
-    return Fraction(window[0] - window[-1], n * a[-1] - 2 * b[-1]), after_total
+    return Fraction(window[0] - window[-1], n * top(a) - 2 * top(b)), after_total
 
 
 def _summarize(player, kind, engine, reports) -> ScanSummary:

@@ -373,52 +373,68 @@ def _enumerated(game: Game, kind: IndexKind):
     return normalize_banzhaf(banzhaf_counts_enumerate(game))
 
 
+def _crashed(suite: str, check: str, game: Game, exc: Exception) -> list[FixtureResult]:
+    """A check that raised is a failed check, as a crashed fixture is."""
+    return [FixtureResult(suite, check, False, f"{game}: raised {exc!r}")]
+
+
 def run_oracle_suite(trials: int, seed: int) -> list[FixtureResult]:
     """DP against enumeration, normalization/symmetry/dummy/scaling, three-way
     splits, and merges and annexations against enumeration of the merged game."""
     rng = random.Random(seed)
     for t in range(trials):
         game = _random_game(rng)
-        sh_enum = shapley_enumerate(game)
-        sh_dp = shapley_dp_vector(game)
-        if sh_enum != sh_dp:
-            return [FixtureResult("oracle", "dp-matches-enumeration", False, f"{game} shapley")]
-        bz_enum = banzhaf_counts_enumerate(game)
-        bz_dp = banzhaf_counts_dp_vector(game)
-        if bz_enum != bz_dp:
-            return [FixtureResult("oracle", "dp-matches-enumeration", False, f"{game} banzhaf")]
-        for vec in (sh_enum, normalize_banzhaf(bz_enum)):
-            if sum(vec.values) != 1:
-                return [FixtureResult("oracle", "normalization", False, str(game))]
+        check = "dp-matches-enumeration"
+        try:
+            sh_enum = shapley_enumerate(game)
+            sh_dp = shapley_dp_vector(game)
+            if sh_enum != sh_dp:
+                return [FixtureResult("oracle", check, False, f"{game} shapley")]
+            bz_enum = banzhaf_counts_enumerate(game)
+            bz_dp = banzhaf_counts_dp_vector(game)
+            if bz_enum != bz_dp:
+                return [FixtureResult("oracle", check, False, f"{game} banzhaf")]
+            check = "normalization"
+            for vec in (sh_enum, normalize_banzhaf(bz_enum)):
+                if sum(vec.values) != 1:
+                    return [FixtureResult("oracle", check, False, str(game))]
+                for i in range(game.num_players):
+                    for j in range(i + 1, game.num_players):
+                        if game.weights[i] == game.weights[j] and vec[i] != vec[j]:
+                            return [FixtureResult("oracle", "symmetry", False, str(game))]
             for i in range(game.num_players):
-                for j in range(i + 1, game.num_players):
-                    if game.weights[i] == game.weights[j] and vec[i] != vec[j]:
-                        return [FixtureResult("oracle", "symmetry", False, str(game))]
-        for i in range(game.num_players):
-            if (bz_enum[i] == 0) != (sh_enum[i] == 0):
-                return [FixtureResult("oracle", "dummy-agreement", False, str(game))]
-        c = rng.randint(2, 3)
-        scaled = Game(c * game.quota, tuple(c * w for w in game.weights))
-        if index(scaled, SH) != sh_enum or index(scaled, BZ) != normalize_banzhaf(bz_enum):
-            return [FixtureResult("oracle", "scale-invariance", False, str(game))]
-        player = rng.randrange(game.num_players)
-        # the player merges with, or annexes, every second other player
-        annexed = [p for p in range(game.num_players) if p != player][::2]
-        merged = apply_merge(game, [player, *annexed])
-        for kind, vec in ((SH, sh_enum), (BZ, normalize_banzhaf(bz_enum))):
-            before = vec[player]
-            for report in scan_k_way_splits(game, player, 3, kind).reports:
-                split = apply_split(game, report.spec)
-                split_vec = _enumerated(split.game, kind)
-                after = sum(split_vec[p] for p in split.new_players)
-                if (report.payoff_before, report.payoff_after_total) != (before, after):
-                    return [FixtureResult("oracle", "k-way-matches-enumeration", False, str(game))]
-            after = _enumerated(merged.game, kind)[merged.merged_player]
-            merge = merge_benefit(game, [player, *annexed], kind)
-            annex = annex_benefit(game, player, annexed, kind)
-            got = merge.payoff_before_total, merge.payoff_after, annex.payoff_before, annex.payoff_after
-            if got != (before + sum(vec[p] for p in annexed), after, before, after):
-                return [FixtureResult("oracle", "merge-annex-match-enumeration", False, str(game))]
+                if (bz_enum[i] == 0) != (sh_enum[i] == 0):
+                    return [FixtureResult("oracle", "dummy-agreement", False, str(game))]
+            check = "scale-invariance"
+            c = rng.randint(2, 3)
+            scaled = Game(c * game.quota, tuple(c * w for w in game.weights))
+            if index(scaled, SH) != sh_enum or index(scaled, BZ) != normalize_banzhaf(bz_enum):
+                return [FixtureResult("oracle", check, False, str(game))]
+            player = rng.randrange(game.num_players)
+            # the player merges with, or annexes, every second other player
+            annexed = [p for p in range(game.num_players) if p != player][::2]
+            merged = apply_merge(game, [player, *annexed])
+            for kind, vec in ((SH, sh_enum), (BZ, normalize_banzhaf(bz_enum))):
+                check = "k-way-matches-enumeration"
+                before = vec[player]
+                for report in scan_k_way_splits(game, player, 3, kind).reports:
+                    split = apply_split(game, report.spec)
+                    split_vec = _enumerated(split.game, kind)
+                    after = sum(split_vec[p] for p in split.new_players)
+                    if (report.payoff_before, report.payoff_after_total) != (before, after):
+                        return [FixtureResult("oracle", check, False, str(game))]
+                check = "merge-annex-match-enumeration"
+                after = _enumerated(merged.game, kind)[merged.merged_player]
+                merge = merge_benefit(game, [player, *annexed], kind)
+                annex = annex_benefit(game, player, annexed, kind)
+                got = (
+                    merge.payoff_before_total, merge.payoff_after,
+                    annex.payoff_before, annex.payoff_after,
+                )
+                if got != (before + sum(vec[p] for p in annexed), after, before, after):
+                    return [FixtureResult("oracle", check, False, str(game))]
+        except Exception as exc:
+            return _crashed("oracle", check, game, exc)
     return [FixtureResult("oracle", f"engines-agree-on-{trials}-random-games", True)]
 
 
@@ -451,22 +467,28 @@ def run_bounds_suite(trials: int, seed: int) -> list[FixtureResult]:
             continue
         size = rng.randint(1, len(others))
         coalition = rng.sample(others, size)
-        sh = annex_benefit(game, player, coalition, SH)
-        if sh.payoff_after < sh.payoff_before:
-            return [FixtureResult("bounds", "annex-never-hurts-shapley", False, str(game))]
-        if len(others) >= 2:
-            a, b = rng.sample(others, 2)
-            if game.weights[a] < game.weights[b]:
-                a, b = b, a
-            va = annex_benefit(game, player, [a], SH).payoff_after
-            vb = annex_benefit(game, player, [b], SH).payoff_after
-            if va < vb:
-                return [FixtureResult("bounds", "annex-monotone-shapley", False, str(game))]
-            bz = annex_benefit(game, player, [a], BZ)
-            if 2 * bz.payoff_after < bz.payoff_before:
-                return [FixtureResult("bounds", "annex-banzhaf-half", False, str(game))]
-            if game.weights[player] <= game.weights[a] and bz.payoff_after < bz.payoff_before:
-                return [FixtureResult("bounds", "annex-banzhaf-upward", False, str(game))]
+        check = "annex-never-hurts-shapley"
+        try:
+            sh = annex_benefit(game, player, coalition, SH)
+            if sh.payoff_after < sh.payoff_before:
+                return [FixtureResult("bounds", check, False, str(game))]
+            if len(others) >= 2:
+                a, b = rng.sample(others, 2)
+                if game.weights[a] < game.weights[b]:
+                    a, b = b, a
+                check = "annex-monotone-shapley"
+                va = annex_benefit(game, player, [a], SH).payoff_after
+                vb = annex_benefit(game, player, [b], SH).payoff_after
+                if va < vb:
+                    return [FixtureResult("bounds", check, False, str(game))]
+                check = "annex-banzhaf-half"
+                bz = annex_benefit(game, player, [a], BZ)
+                if 2 * bz.payoff_after < bz.payoff_before:
+                    return [FixtureResult("bounds", check, False, str(game))]
+                if game.weights[player] <= game.weights[a] and bz.payoff_after < bz.payoff_before:
+                    return [FixtureResult("bounds", "annex-banzhaf-upward", False, str(game))]
+        except Exception as exc:
+            return _crashed("bounds", check, game, exc)
     detail = (
         f"worst n*banzhaf-ratio {worst_low}; "
         f"worst shapley ratio over cap fraction {worst_high}"

@@ -2,7 +2,9 @@
 
 These never share code with the package: Shapley values walk literal
 permutations (or the subset-size form for slightly larger games), Banzhaf
-counts enumerate raw subsets. Tests compare engine output against these.
+counts enumerate raw subsets. Games too large to enumerate use a plain
+list count DP (``subsets_by_dp``), run per player (``pivots_by_dp``). Tests
+compare engine output against these.
 """
 
 from fractions import Fraction
@@ -58,6 +60,42 @@ def banzhaf_by_subsets(game: Game) -> list[Fraction]:
     counts = banzhaf_counts_by_subsets(game)
     total = sum(counts)
     return [Fraction(c, total) for c in counts]
+
+
+def subsets_by_dp(weights, cap: int) -> list[list[int]]:
+    """rows[k][x]: size-k subsets of ``weights`` of weight exactly x, x < ``cap``,
+    by a plain count DP."""
+    rows = [[1] + [0] * (cap - 1)] + [[0] * cap for _ in weights]
+    for count, w in enumerate(weights):
+        for k in range(count + 1, 0, -1):
+            rows[k] = rows[k][:w] + [a + b for a, b in zip(rows[k][w:], rows[k - 1])]
+    return rows
+
+
+def pivots_by_dp(game: Game) -> list[list[int]]:
+    """Entry [i][k]: size-k coalitions of the other players that player i is
+    critical for, from ``subsets_by_dp`` over each player's others below the
+    quota (players of equal weight share one run)."""
+    q = game.quota
+    by_weight = {}
+    for i, own in enumerate(game.weights):
+        if own not in by_weight:
+            rows = subsets_by_dp(game.weights[:i] + game.weights[i + 1 :], q)
+            by_weight[own] = [sum(row[max(0, q - own) :]) for row in rows]
+    return [by_weight[w] for w in game.weights]
+
+
+def shapley_by_dp(game: Game) -> list[Fraction]:
+    n = game.num_players
+    orderings = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
+    return [
+        Fraction(sum(c * o for c, o in zip(p, orderings)), factorial(n)) for p in pivots_by_dp(game)
+    ]
+
+
+def banzhaf_by_dp(game: Game) -> list[Fraction]:
+    counts = [sum(p) for p in pivots_by_dp(game)]
+    return [Fraction(c, sum(counts)) for c in counts]
 
 
 def partition_decider(values) -> bool:

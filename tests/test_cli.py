@@ -1,10 +1,12 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
 import wvg.cli as cli_mod
+import wvg.manipulation as manipulation_mod
 import wvg.verify as verify_mod
 from wvg.cli import main
 from wvg.errors import InvalidConfigError
@@ -257,6 +259,22 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "fixtures")
         assert code == 1
         assert "FAIL" in out and "deliberately-broken" in out
+
+    def test_crashing_suite_check_is_a_failed_row(self, capsys, monkeypatch):
+        def raising(*args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(manipulation_mod, "bloc_value", raising)
+        code, out, err = run_cli(capsys, "verify", "--trials", "3", "--seed", "2")
+        assert code == 1 and err == ""
+        rows = out.splitlines()
+        assert rows[-1].endswith("checks passed") and not rows[-1].startswith(f"{len(rows) - 1}/")
+        oracle = [r for r in rows if r.startswith("FAIL  oracle")]
+        bounds = [r for r in rows if r.startswith("FAIL  bounds")]
+        assert len(oracle) == 1 and "merge-annex-match-enumeration" in oracle[0]
+        assert len(bounds) == 1 and "annex-never-hurts-shapley" in bounds[0]
+        named = re.compile(r"\[\d+; [\d, ]+\]: raised ValueError\('injected'\)$")
+        assert all(named.search(r) for r in oracle + bounds)
 
 
 class TestResourceExits:

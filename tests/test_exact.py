@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,11 +28,11 @@ from wvg.exact import (
     fraction_to_decimal,
     game_table,
     remove_weight,
-    remove_weight_rows,
     subset_size_weight_counts,
     subset_weight_counts,
     tail,
     window_count,
+    without,
 )
 
 from _oracles import (
@@ -161,15 +162,16 @@ class TestOracleEquivalence:
 
     def test_pivot_table_reproduces_value(self):
         game = Game(5, (2, 1, 1, 1, 1))
-        rows = subset_size_weight_counts(game.weights, game.quota)
-        pivots = [window_count(r, 2) for r in remove_weight_rows(rows, 2)]
-        assert pivots == [0, 0, 0, 4, 1]
-        assert bloc_value(game, [0], SH, rows) == Fraction(2, 5)
+        table = subset_size_weight_counts(game.weights, game.quota)
+        # sizes 0..5; no size-5 coalition of the four others exists
+        pivots = window_count(remove_weight(table, 2), 2)
+        assert pivots == [0, 0, 0, 4, 1, 0]
+        assert bloc_value(game, [0], SH, table) == Fraction(2, 5)
         # the bloc {0, 1} of weight 3: sizes 1..2 of the three other 1s reach [2, 4]
-        bloc_rows = remove_weight_rows(remove_weight_rows(rows, 2), 1)
-        assert [window_count(r, 3) for r in bloc_rows] == [0, 0, 3, 1]
+        bloc_table = remove_weight(remove_weight(table, 2), 1)
+        assert window_count(bloc_table, 3) == [0, 0, 3, 1, 0, 0]
         merged = apply_merge(game, [0, 1])
-        assert bloc_value(game, [0, 1], SH, rows) == Fraction(1, 2)
+        assert bloc_value(game, [0, 1], SH, table) == Fraction(1, 2)
         assert shapley_by_subsets(merged.game)[merged.merged_player] == Fraction(1, 2)
 
     def test_larger_games_up_to_the_enumeration_limit(self):
@@ -216,6 +218,26 @@ class TestNamedPlayerValues:
 weight_lists = st.lists(st.integers(1, 12), max_size=7)
 
 
+def size_rows(table):
+    """rows[k][x] of a size-by-weight table, read over its full width."""
+    cells = tail(table, table.cap)
+    return [list(cells[k :: table.stride]) for k in range(table.stride)]
+
+
+def vectors(pair):
+    """Both vectors of a Banzhaf pair, read over their full width."""
+    return [list(tail(v, v.cap)) for v in pair]
+
+
+def subset_vectors(weights, cap):
+    """A and B by brute force: subsets with weight at most x, and their summed sizes."""
+    subsets = [c for r in range(len(weights) + 1) for c in combinations(weights, r)]
+    return [
+        [sum(sum(c) <= x for c in subsets) for x in range(cap)],
+        [sum(len(c) for c in subsets if sum(c) <= x) for x in range(cap)],
+    ]
+
+
 class TestCountingTables:
     @given(weight_lists, st.integers(1, 30))
     @example([1, 3, 5], 1)
@@ -226,8 +248,8 @@ class TestCountingTables:
             [weights[i] for i in range(len(weights)) if mask >> i & 1]
             for mask in range(1 << len(weights))
         ]
-        flat = subset_weight_counts(weights, cap)
-        rows = subset_size_weight_counts(weights, cap)
+        flat = list(tail(subset_weight_counts(weights, cap), cap))
+        rows = size_rows(subset_size_weight_counts(weights, cap))
         assert flat == [sum(sum(s) <= x for s in subsets) for x in range(cap)]
         assert rows == [
             [sum(len(s) == k and sum(s) <= x for s in subsets) for x in range(cap)]
@@ -239,30 +261,50 @@ class TestCountingTables:
     @settings(max_examples=80, deadline=None)
     def test_remove_weight_inverts_adding_a_player(self, others, w, cap):
         vec = subset_weight_counts(others + [w], cap)
-        assert remove_weight(vec, w) == subset_weight_counts(others, cap)
+        rebuilt = subset_weight_counts(others, cap)
+        assert list(tail(remove_weight(vec, w), cap)) == list(tail(rebuilt, cap))
 
     @given(games)
     @settings(max_examples=80, deadline=None)
-    def test_remove_weight_rows_inverts_adding_a_player(self, game):
+    def test_size_table_removal_inverts_adding_a_player(self, game):
         q = game.quota
-        rows = subset_size_weight_counts(game.weights, q)
+        table = subset_size_weight_counts(game.weights, q)
+        zero = [0] * q
         for p, w in enumerate(game.weights):
             others = [x for i, x in enumerate(game.weights) if i != p]
-            assert list(remove_weight_rows(rows, w)) == subset_size_weight_counts(others, q)
-        # chained: the second removal reads the first one's rows as they arrive
+            rebuilt = size_rows(subset_size_weight_counts(others, q))
+            assert size_rows(remove_weight(table, w)) == rebuilt + [zero]
         first, *rest = game.weights
         if rest:
-            chained = remove_weight_rows(remove_weight_rows(iter(rows), first), rest[0])
-            assert list(chained) == subset_size_weight_counts(rest[1:], q)
+            # chained, in either order
+            remaining = size_rows(subset_size_weight_counts(rest[1:], q)) + [zero, zero]
+            assert size_rows(remove_weight(remove_weight(table, first), rest[0])) == remaining
+            assert size_rows(remove_weight(remove_weight(table, rest[0]), first)) == remaining
+
+    @given(games)
+    @settings(max_examples=80, deadline=None)
+    def test_chained_removals_in_either_order_leave_the_other_players(self, game):
+        first, *rest = game.weights
+        if not rest:
+            return
+        table = game_table(game, BZ)
+        assert vectors(without(table, [first])) == subset_vectors(rest, game.quota)
+        remaining = subset_vectors(rest[1:], game.quota)
+        for order in ([first, rest[0]], [rest[0], first]):
+            assert vectors(without(table, order)) == remaining
 
     def test_windows_reaching_below_weight_zero(self):
         table = subset_weight_counts([2, 3], 4)  # plain counts 1, 0, 1, 1
-        assert table == [1, 1, 2, 3]
-        assert tail(table, 3) == [1, 2, 3]
-        assert tail(table, 6) == [0, 0, 1, 1, 2, 3]
-        assert window_count(table, 2) == 2  # weights 2 and 3
-        assert window_count(table, 4) == 3  # weights 0 .. 3
-        assert window_count(table, 7) == 3
+        assert list(tail(table, 4)) == [1, 1, 2, 3]
+        assert list(tail(table, 3)) == [1, 2, 3]
+        assert list(tail(table, 6)) == [0, 0, 1, 1, 2, 3]
+        assert window_count(table, 2) == [2]  # weights 2 and 3
+        assert window_count(table, 4) == [3]  # weights 0 .. 3
+        assert window_count(table, 7) == [3]
+        sized = subset_size_weight_counts([2, 3], 4)  # sizes 0, 1, 2 at each weight
+        assert list(tail(sized, 6)) == [0] * 6 + [1, 0, 0] * 2 + [1, 1, 0, 1, 2, 0]
+        assert window_count(sized, 2) == [0, 2, 0]
+        assert window_count(sized, 7) == [1, 2, 0]
 
 
 class TestIndexAxioms:

@@ -1,0 +1,55 @@
+"""The first seeded calls of two bench workloads reproduce their pinned output digests.
+
+Replays the first ``CALLS`` command lines of seed 1 of ``queries`` and
+``study-grid``, as ``perfbench/workloads.py`` generates them, through
+``wvg.cli.main`` and compares each output's digest (``perfbench/checks.py``)
+with ``perfbench/pinned.json``. Nothing under ``perfbench/`` is written.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from itertools import count
+from pathlib import Path
+
+import pytest
+
+from wvg.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEED = 1
+CALLS = 20
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+checks = _load("checks")
+PINNED = json.loads((BENCH / "pinned.json").read_text(encoding="utf-8"))
+
+
+def _first_calls(workload):
+    ops = []
+    for cycle in count():
+        ops += workloads.CYCLES[workload](SEED, cycle)
+        if len(ops) >= CALLS:
+            return ops[:CALLS]
+
+
+CASES = [(w, i, op) for w in ("queries", "study-grid") for i, op in enumerate(_first_calls(w))]
+
+
+@pytest.mark.parametrize("workload, i, op", CASES, ids=[f"{w}-{i}" for w, i, _ in CASES])
+def test_output_matches_its_pinned_digest(workload, i, op):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(op.argv))
+    assert code == 0
+    assert checks.digest(out.getvalue()) == PINNED[workload][i]
