@@ -3,7 +3,8 @@
 Every subcommand prints its report to stdout (JSON by default) and
 diagnostics to stderr. Exit status: 0 on success, 1 on a domain error such
 as an invalid game, 2 on a usage error. Seeded commands produce
-byte-identical output for identical invocations regardless of thread count.
+byte-identical output for identical invocations; sampling runs on one
+thread, so ``--threads`` changes nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .manipulation import (
     scan_k_way_splits,
     scan_two_way_splits,
 )
-from .montecarlo import McConfig, banzhaf_mc, default_workers, derive_seed, shapley_mc
+from .montecarlo import McConfig, banzhaf_mc, derive_seed, shapley_mc
 from .experiments import ExperimentConfig, export_stats, run_experiment
 from .verify import SUITES, run as run_verify
 
@@ -102,12 +103,13 @@ def _kind_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=sorted(_KINDS), default="shapley")
 
 
-def _mc_args(p: argparse.ArgumentParser) -> None:
+def _mc_args(p: argparse.ArgumentParser, sampling: bool = True) -> None:
     p.add_argument("--epsilon", default="0.01")
     p.add_argument("--delta", default="0.01")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None, help="override the sample count")
-    p.add_argument("--threads", type=int, default=default_workers())
+    if sampling:
+        p.add_argument("--samples", type=int, default=None, help="override the sample count")
+        p.add_argument("--threads", type=int, default=1, help="no effect; sampling runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["exact", "mc"], default="exact")
     p.add_argument("--unanimity", action="store_true", help="force quota = total weight")
     p.add_argument("--margin", default=None)
-    _mc_args(p)
+    _mc_args(p, sampling=False)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("verify", help="run the built-in fixtures and invariant suites")
@@ -217,7 +219,7 @@ def _cmd_index(args) -> int:
     cfg = McConfig(args.epsilon, args.delta, seed=args.seed, sample_count_override=args.samples)
     if kind is IndexKind.SHAPLEY_SHUBIK:
         estimates = [
-            shapley_mc(game, i, McConfig(cfg.epsilon, cfg.delta, derive_seed(cfg.seed, "cli-index", i), cfg.sample_count_override), workers=args.threads)
+            shapley_mc(game, i, McConfig(cfg.epsilon, cfg.delta, derive_seed(cfg.seed, "cli-index", i), cfg.sample_count_override))
             for i in range(game.num_players)
         ]
         obj = {
@@ -235,7 +237,7 @@ def _cmd_index(args) -> int:
             ),
         )
         return 0
-    vec = banzhaf_mc(game, cfg, workers=args.threads)
+    vec = banzhaf_mc(game, cfg)
     obj = {
         "command": "index",
         "kind": kind.value,
@@ -256,7 +258,7 @@ def _cmd_index(args) -> int:
 def _cmd_scan(args) -> int:
     game = _resolve_game(args.game)
     kind = _KINDS[args.kind]
-    margin = Fraction(args.margin) if args.margin is not None else None
+    margin = _margin(args)
     engine = Engine.EXACT if args.engine == "exact" else Engine.MONTE_CARLO
     if args.k != 2 and engine is Engine.MONTE_CARLO:
         raise InvalidConfigError(
@@ -269,8 +271,7 @@ def _cmd_scan(args) -> int:
         if engine is Engine.MONTE_CARLO:
             cfg = McConfig(args.epsilon, args.delta, seed=args.seed, sample_count_override=args.samples)
         summary = scan_two_way_splits(
-            game, args.player, kind, engine=engine, mc_config=cfg, margin=margin,
-            workers=args.threads,
+            game, args.player, kind, engine=engine, mc_config=cfg, margin=margin
         )
     else:
         summary = scan_k_way_splits(game, args.player, args.k, kind)
@@ -299,7 +300,6 @@ def _cmd_scan(args) -> int:
 def _cmd_find_split(args) -> int:
     game = _resolve_game(args.game)
     kind = _KINDS[args.kind]
-    margin = Fraction(args.margin) if args.margin is not None else None
     spec = find_split_approx(
         game,
         args.player,
@@ -307,8 +307,7 @@ def _cmd_find_split(args) -> int:
         args.delta,
         kind=kind,
         seed=args.seed,
-        margin=margin,
-        workers=args.threads,
+        margin=_margin(args),
         sample_count_override=args.samples,
     )
     obj = {
@@ -448,8 +447,12 @@ def _cmd_gadget(args) -> int:
 def _parsed(parse, text: str, name: str):
     try:
         return parse(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise InvalidConfigError(f"malformed {name}: {text!r}") from None
+
+
+def _margin(args) -> Fraction | None:
+    return None if args.margin is None else _parsed(Fraction, args.margin, "margin")
 
 
 def _player_range(text: str) -> tuple[int, int]:
@@ -465,7 +468,7 @@ def _cmd_experiment(args) -> int:
         games_per_cell=args.games_per_cell,
         epsilon=args.epsilon,
         delta=args.delta,
-        beneficial_margin=Fraction(args.margin) if args.margin is not None else None,
+        beneficial_margin=_margin(args),
         seed=args.seed,
         engine=Engine.EXACT if args.engine == "exact" else Engine.MONTE_CARLO,
         kind=_KINDS[args.kind],

@@ -18,7 +18,7 @@ from .errors import InvalidConfigError, ResourceLimitError
 from .exact import IndexKind, game_table
 from .game import Game
 from .manipulation import Engine, ScanSummary, scan_two_way_splits
-from .montecarlo import McConfig, _as_probability, derive_seed
+from .montecarlo import McConfig, _as_margin, _as_probability, derive_seed
 
 HISTOGRAM_BINS = 200
 BIN_WIDTH = Fraction(1, HISTOGRAM_BINS)
@@ -59,8 +59,11 @@ class ExperimentConfig:
                 raise InvalidConfigError(
                     f"{name} must be positive, finite and below 2**53, got {x}"
                 )
-        if self.beneficial_margin is not None and self.engine is Engine.EXACT:
-            raise InvalidConfigError("beneficial_margin applies to the Monte-Carlo engine only")
+        if self.beneficial_margin is not None:
+            if self.engine is Engine.EXACT:
+                raise InvalidConfigError("beneficial_margin applies to the Monte-Carlo engine only")
+            margin = _as_margin(self.beneficial_margin, "beneficial_margin")
+            object.__setattr__(self, "beneficial_margin", margin)
 
     @classmethod
     def faithful(cls, seed: int = 0, kind: IndexKind = IndexKind.SHAPLEY_SHUBIK) -> "ExperimentConfig":

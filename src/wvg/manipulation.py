@@ -36,7 +36,7 @@ from .exact import (
     without,
 )
 from .game import Game, SplitSpec, apply_split, validate_coalition
-from .montecarlo import McConfig, banzhaf_mc, derive_seed, shapley_mc
+from .montecarlo import McConfig, _as_margin, banzhaf_mc, derive_seed, shapley_mc
 
 
 class Engine(str, Enum):
@@ -280,7 +280,6 @@ def scan_two_way_splits(
     engine: Engine | str = Engine.EXACT,
     mc_config: McConfig | None = None,
     margin: Fraction | None = None,
-    workers: int | None = None,
     *,
     table=None,
 ) -> ScanSummary:
@@ -288,7 +287,8 @@ def scan_two_way_splits(
 
     A weight-1 player has no candidates and yields an empty summary. The exact
     engine classifies by strict rational comparison; the Monte-Carlo engine
-    uses ``margin`` (default twice the configured epsilon). ``table``, if
+    uses ``margin`` (default twice the configured epsilon; a negative margin
+    is refused) and samples on one thread. ``table``, if
     given, must be ``game_table(game, kind)``; scanning several players of
     one game with it builds the table once instead of once per player. The
     results are identical either way.
@@ -299,17 +299,17 @@ def scan_two_way_splits(
     w = game.weights[player]
     candidates = range(1, w // 2 + 1)
     if engine is Engine.MONTE_CARLO:
-        return _scan_two_way_mc(game, player, kind, candidates, mc_config, margin, workers)
+        return _scan_two_way_mc(game, player, kind, candidates, mc_config, margin)
     return _scan_exact(game, player, kind, 2, ((j, w - j) for j in candidates), table)
 
 
-def _mc_value(game, player, kind, config, workers) -> Fraction:
+def _mc_value(game, player, kind, config) -> Fraction:
     if kind is IndexKind.SHAPLEY_SHUBIK:
-        return shapley_mc(game, player, config, workers).value
-    return banzhaf_mc(game, config, workers)[player]
+        return shapley_mc(game, player, config).value
+    return banzhaf_mc(game, config)[player]
 
 
-def _mc_split_total(outcome, kind, cfg, workers) -> Fraction:
+def _mc_split_total(outcome, kind, cfg) -> Fraction:
     """Estimated total index of a two-way split's new identities.
 
     Shapley estimates the two identities separately, the second at seed + 1;
@@ -318,27 +318,25 @@ def _mc_split_total(outcome, kind, cfg, workers) -> Fraction:
     if kind is IndexKind.SHAPLEY_SHUBIK:
         a, b = outcome.new_players
         return (
-            shapley_mc(outcome.game, a, cfg, workers).value
-            + shapley_mc(outcome.game, b, replace(cfg, seed=cfg.seed + 1), workers).value
+            shapley_mc(outcome.game, a, cfg).value
+            + shapley_mc(outcome.game, b, replace(cfg, seed=cfg.seed + 1)).value
         )
-    vec = banzhaf_mc(outcome.game, cfg, workers)
+    vec = banzhaf_mc(outcome.game, cfg)
     return sum(vec[p] for p in outcome.new_players)
 
 
-def _scan_two_way_mc(game, player, kind, candidates, mc_config, margin, workers) -> ScanSummary:
+def _scan_two_way_mc(game, player, kind, candidates, mc_config, margin) -> ScanSummary:
     if mc_config is None:
         mc_config = McConfig(Fraction(1, 100), Fraction(1, 100))
-    if margin is None:
-        margin = 2 * mc_config.epsilon
-    margin = Fraction(margin)
+    margin = _as_margin(2 * mc_config.epsilon if margin is None else margin)
     base_cfg = replace(mc_config, seed=derive_seed(mc_config.seed, "baseline", player))
-    before = _mc_value(game, player, kind, base_cfg, workers)
+    before = _mc_value(game, player, kind, base_cfg)
     reports = []
     w = game.weights[player]
     for j in candidates:
         spec = SplitSpec(player, (j, w - j))
         cfg = replace(mc_config, seed=derive_seed(mc_config.seed, "split", player, j))
-        after = _mc_split_total(apply_split(game, spec), kind, cfg, workers)
+        after = _mc_split_total(apply_split(game, spec), kind, cfg)
         reports.append(_report(spec, before, after, Engine.MONTE_CARLO, margin))
     return _summarize(player, kind, Engine.MONTE_CARLO, reports)
 
@@ -383,30 +381,28 @@ def find_split_approx(
     kind: IndexKind | str = IndexKind.SHAPLEY_SHUBIK,
     seed: int = 0,
     margin: Fraction | None = None,
-    workers: int | None = None,
     sample_count_override: int | None = None,
 ) -> SplitSpec | None:
     """Randomized two-way split finder.
 
     Estimates the baseline once, then each candidate split's two identities,
     and accepts the first candidate whose estimated total exceeds the baseline
-    by more than the margin (default 3 * epsilon). With probability at least
-    1 - 3 * delta per comparison, an accepted split is genuinely beneficial,
-    and any split beneficial by more than twice the margin is accepted.
+    by more than the margin (default 3 * epsilon; a negative margin is
+    refused). With probability at least 1 - 3 * delta per comparison, an
+    accepted split is genuinely beneficial, and any split beneficial by more
+    than twice the margin is accepted. Sampling runs on one thread.
     """
     kind = IndexKind(kind)
     _check_player(game, player)
     config = McConfig(epsilon, delta, seed=seed, sample_count_override=sample_count_override)
-    if margin is None:
-        margin = 3 * config.epsilon
-    margin = Fraction(margin)
+    margin = _as_margin(3 * config.epsilon if margin is None else margin)
     base_cfg = replace(config, seed=derive_seed(seed, "findsplit-base", player))
-    baseline = _mc_value(game, player, kind, base_cfg, workers)
+    baseline = _mc_value(game, player, kind, base_cfg)
     w = game.weights[player]
     for j in range(1, w // 2 + 1):
         spec = SplitSpec(player, (j, w - j))
         cfg = replace(config, seed=derive_seed(seed, "findsplit", player, j))
-        if _mc_split_total(apply_split(game, spec), kind, cfg, workers) > baseline + margin:
+        if _mc_split_total(apply_split(game, spec), kind, cfg) > baseline + margin:
             return spec
     return None
 

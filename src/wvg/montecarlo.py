@@ -8,18 +8,15 @@ every raw estimate is within epsilon and the true raw sum is s, each
 normalized value is within 2 * epsilon * n / s after union-bounding delta
 over the n queries.
 
-Sampling is split into fixed-size blocks whose generators derive from
-(seed, context, block index), so results are bit-identical no matter how many
-workers execute the blocks, and dummy players estimate to exactly zero.
+Sampling runs on one thread, in fixed-size blocks whose generators derive
+from (seed, context, block index), and dummy players estimate to exactly zero.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +28,6 @@ KIND_SHAPLEY = "shapley_shubik"
 KIND_BANZHAF_RAW = "banzhaf_raw"
 
 _BLOCK = 4096
-THREADS_ENV_VAR = "WVG_THREADS"
 
 
 def derive_seed(*parts: object) -> int:
@@ -51,6 +47,13 @@ def _as_probability(value, name: str) -> Fraction:
     return frac
 
 
+def _as_margin(value, name: str = "margin") -> Fraction:
+    margin = Fraction(value)
+    if margin < 0:
+        raise InvalidConfigError(f"{name} must be at least 0, got {value}")
+    return margin
+
+
 def sample_size(epsilon, delta) -> int:
     """Samples needed for the (epsilon, delta) guarantee: ceil(ln(2/delta)/(2 eps^2))."""
     eps = _as_probability(epsilon, "epsilon")
@@ -58,14 +61,6 @@ def sample_size(epsilon, delta) -> int:
     t = math.log(2.0 / float(dlt)) / (2.0 * float(eps) ** 2)
     # Nudge before the ceiling so exact integers survive float roundoff.
     return max(1, math.ceil(t - abs(t) * 1e-12))
-
-
-def default_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -105,20 +100,15 @@ class McEstimate:
         }
 
 
-def _run_blocks(total: int, block_fn, workers: int | None) -> int:
+def _run_blocks(total: int, block_fn) -> int:
     """Sum block_fn(block_index, count) over the partitioned sample space."""
-    blocks = [(b, min(_BLOCK, total - b * _BLOCK)) for b in range((total + _BLOCK - 1) // _BLOCK)]
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(blocks) <= 1:
-        return sum(block_fn(b, cnt) for b, cnt in blocks)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda bc: block_fn(*bc), blocks))
+    blocks = range((total + _BLOCK - 1) // _BLOCK)
+    return sum(block_fn(b, min(_BLOCK, total - b * _BLOCK)) for b in blocks)
 
 
 def shapley_mc(game: Game, player: int, config: McConfig, workers: int | None = None) -> McEstimate:
     """Fraction of sampled player orderings where ``player`` is critical
-    for the set of its predecessors."""
+    for the set of its predecessors. ``workers`` is unused; perfbench passes it."""
     n = game.num_players
     weights = game.weights
     quota = game.quota
@@ -143,13 +133,13 @@ def shapley_mc(game: Game, player: int, config: McConfig, workers: int | None = 
                     break
         return hits
 
-    hits = _run_blocks(total, block, workers)
+    hits = _run_blocks(total, block)
     return McEstimate(Fraction(hits, total), total, KIND_SHAPLEY, config.epsilon, config.delta)
 
 
 def banzhaf_raw_mc(game: Game, player: int, config: McConfig, workers: int | None = None) -> McEstimate:
     """Estimate of the probability that a uniform coalition of the other
-    players is one the player is critical for."""
+    players is one the player is critical for. ``workers`` is unused, as above."""
     quota = game.quota
     wp = game.weights[player]
     others = [w for i, w in enumerate(game.weights) if i != player]
@@ -175,18 +165,18 @@ def banzhaf_raw_mc(game: Game, player: int, config: McConfig, workers: int | Non
                 hits += 1
         return hits
 
-    hits = _run_blocks(total, block, workers)
+    hits = _run_blocks(total, block)
     return McEstimate(Fraction(hits, total), total, KIND_BANZHAF_RAW, config.epsilon, config.delta)
 
 
-def banzhaf_mc(game: Game, config: McConfig, workers: int | None = None) -> IndexVector:
+def banzhaf_mc(game: Game, config: McConfig) -> IndexVector:
     """Normalized Banzhaf estimates for every player.
 
     Raw per-player estimates each satisfy the (epsilon, delta) contract; the
     normalization step carries only the looser derived bound described in the
     module docstring.
     """
-    raws = [banzhaf_raw_mc(game, i, config, workers) for i in range(game.num_players)]
+    raws = [banzhaf_raw_mc(game, i, config) for i in range(game.num_players)]
     total = sum(est.value for est in raws)
     if total == 0:
         raise DegenerateNormalizationError(

@@ -217,6 +217,8 @@ class TestRefusedInputs:
             (("experiment", "--sigmas", "5,1e300"), "sigma"),
             (("experiment", "--sigmas", "abc"), "sigma"),
             (("experiment", "--sigmas", "5,x"), "sigma"),
+            (("experiment", "--engine", "mc", "--margin=-1/100"), "margin"),
+            (("experiment", "--engine", "mc", "--margin", "abc"), "malformed margin"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
     )
@@ -225,6 +227,33 @@ class TestRefusedInputs:
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert name in err and len(err) < 100
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("scan", "--engine", "mc", "--margin", "-1"), "margin"),
+            (("find-split", "--margin", "-1"), "margin"),
+            (("find-split", "--margin=-1/1000"), "margin"),
+            (("scan", "--engine", "mc", "--margin", "abc"), "malformed margin"),
+            (("find-split", "--margin", "abc"), "malformed margin"),
+            (("find-split", "--margin", "1/0"), "malformed margin"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+    )
+    def test_margin_refusal_names_margin(self, capsys, argv, name):
+        # A margin below 0 would class almost every sampled split as beneficial.
+        base = ("--game", "7;3,3,2,2", "--player", "0", "--samples", "10")
+        code, out, err = run_cli(capsys, *argv, *base)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert name in err and len(err) < 100
+
+    @pytest.mark.parametrize("option", ["--samples", "--threads"])
+    def test_experiment_refuses_sampling_options(self, capsys, option):
+        # experiment derives its sample count from epsilon and delta and never read these.
+        code, out, err = run_cli(capsys, "experiment", "--engine", "mc", option, "3")
+        assert code == 2 and out == ""
+        assert option in err
 
     @pytest.mark.parametrize("players", ["5:x", "5:6:7", "x", ":6"])
     def test_malformed_player_range_names_players(self, capsys, players):
@@ -291,18 +320,6 @@ class TestResourceExits:
         assert got == code and out == ""
         assert err.startswith(message)
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-
-
-class TestThreadDefaults:
-    def test_env_var_sets_default(self, monkeypatch):
-        from wvg.cli import build_parser
-
-        monkeypatch.setenv("WVG_THREADS", "3")
-        args = build_parser().parse_args(["index", "--game", "6;2,2,2"])
-        assert args.threads == 3
-        monkeypatch.setenv("WVG_THREADS", "not-a-number")
-        args = build_parser().parse_args(["index", "--game", "6;2,2,2"])
-        assert args.threads == 1
 
 
 class TestDeterminism:

@@ -303,6 +303,12 @@ class TestRunner:
         config = ExperimentConfig(beneficial_margin=Fraction(1, 2), engine=Engine.MONTE_CARLO)
         assert config.beneficial_margin == Fraction(1, 2)
 
+    def test_negative_margin_refused(self):
+        with pytest.raises(InvalidConfigError, match="beneficial_margin"):
+            ExperimentConfig(beneficial_margin=Fraction(-1, 100), engine=Engine.MONTE_CARLO)
+        config = ExperimentConfig(beneficial_margin="0", engine=Engine.MONTE_CARLO)
+        assert config.beneficial_margin == 0
+
 
 class TestExport:
     def test_csv_schema(self):

@@ -28,6 +28,18 @@ def test_every_traced_function_exists():
     assert missing == []
 
 
+def test_samplers_accept_a_worker_count_and_ignore_it():
+    """perfbench's thread-scaling probe passes a worker count as the fourth
+    positional argument of both samplers; it must not change the estimate."""
+    from wvg.game import Game
+    from wvg.montecarlo import McConfig, banzhaf_raw_mc, shapley_mc
+
+    game = Game(7, (3, 2, 2, 1, 1))
+    cfg = McConfig("0.01", "0.01", seed=9, sample_count_override=10_000)
+    assert shapley_mc(game, 0, cfg, 2) == shapley_mc(game, 0, cfg)
+    assert banzhaf_raw_mc(game, 0, cfg, 2) == banzhaf_raw_mc(game, 0, cfg)
+
+
 def test_table_counters_read_the_builders_arguments():
     """perfbench computes table cells from ``args[0]`` (the weights) and
     ``args[1]`` (the cap) of each builder call, so both builders keep

@@ -14,6 +14,7 @@ from wvg import (
     GadgetVariant,
     Game,
     IndexKind,
+    InvalidConfigError,
     InvalidMergeError,
     InvalidSplitError,
     McConfig,
@@ -409,6 +410,11 @@ class TestFindSplitApprox:
     def test_neutral_split_rejected_by_margin(self):
         assert find_split_approx(Game(4, (2, 2, 2)), 2, "0.02", "0.01", seed=2) is None
 
+    def test_negative_margin_refused(self):
+        # With high < low nearly every candidate would pass as "beneficial".
+        with pytest.raises(InvalidConfigError, match="margin"):
+            find_split_approx(Game(7, (3, 3, 2, 2)), 0, "0.05", "0.05", margin=-1)
+
     def test_deterministic(self):
         a = find_split_approx(Game(6, (2, 2, 2)), 2, "0.05", "0.05", seed=11)
         b = find_split_approx(Game(6, (2, 2, 2)), 2, "0.05", "0.05", seed=11)
@@ -624,6 +630,21 @@ class TestMonteCarloScan:
         cfg = McConfig("0.02", "0.05", seed=8)
         summary = scan_two_way_splits(game, 2, SH, engine=Engine.MONTE_CARLO, mc_config=cfg)
         assert summary.neutral == 1
+
+    @pytest.mark.parametrize("margin", [-1, Fraction(-1, 1000), "-0.5"])
+    def test_negative_margin_refused(self, margin):
+        cfg = McConfig("0.05", "0.05", sample_count_override=10)
+        with pytest.raises(InvalidConfigError, match="margin"):
+            scan_two_way_splits(
+                Game(7, (3, 3, 2, 2)), 0, SH, engine=Engine.MONTE_CARLO, mc_config=cfg, margin=margin
+            )
+
+    def test_zero_margin_accepted(self):
+        cfg = McConfig("0.05", "0.05", sample_count_override=10)
+        summary = scan_two_way_splits(
+            Game(7, (3, 3, 2, 2)), 0, BZ, engine=Engine.MONTE_CARLO, mc_config=cfg, margin=0
+        )
+        assert summary.reports[0].margin == 0
 
 
 class TestScanInvariance:

@@ -3,7 +3,9 @@
 Replays the first ``CALLS`` command lines of seed 1 of ``queries`` and
 ``study-grid``, as ``perfbench/workloads.py`` generates them, through
 ``wvg.cli.main`` and compares each output's digest (``perfbench/checks.py``)
-with ``perfbench/pinned.json``. Nothing under ``perfbench/`` is written.
+with ``perfbench/pinned.json``. Each Monte-Carlo call is replayed a second
+time with ``--threads 1`` appended, as the bench's replay check does, and
+must give the same digest. Nothing under ``perfbench/`` is written.
 """
 
 import contextlib
@@ -43,13 +45,20 @@ def _first_calls(workload):
             return ops[:CALLS]
 
 
-CASES = [(w, i, op) for w in ("queries", "study-grid") for i, op in enumerate(_first_calls(w))]
+def _replays(workload):
+    for i, op in enumerate(_first_calls(workload)):
+        yield f"{workload}-{i}", workload, i, op.argv
+        if op.cls == "mc":
+            yield f"{workload}-{i}-threads1", workload, i, op.argv + ("--threads", "1")
 
 
-@pytest.mark.parametrize("workload, i, op", CASES, ids=[f"{w}-{i}" for w, i, _ in CASES])
-def test_output_matches_its_pinned_digest(workload, i, op):
+CASES = [case for w in ("queries", "study-grid") for case in _replays(w)]
+
+
+@pytest.mark.parametrize("workload, i, argv", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_output_matches_its_pinned_digest(workload, i, argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(op.argv))
+        code = main(list(argv))
     assert code == 0
     assert checks.digest(out.getvalue()) == PINNED[workload][i]
