@@ -7,22 +7,24 @@ instance generators.
 
 Every exact query reads one counting table per game (``exact.game_table``)
 and builds no split or merged game. Split scans, two-way and k-way alike,
-take the player out of the table by deconvolution and make one lookup into
-the player's window profiles per subset of a split's parts (see the comment
-above ``_subset_sums``). Merges, annexations and the monotonicity probe take
-each bloc's members out of the table and read the window of their combined
-weight (``exact.bloc_value``). Exact candidates are classified by comparing
-two rationals; only the Monte-Carlo engine applies a margin.
+take the player out of the table by deconvolution and score all of its
+candidates at once as integer columns: per subset of a split's parts, one
+column of subset sums read into the player's window profiles (see the
+comment above ``_sum_columns``). Exact candidates are classified by integer
+comparison, and their ``SplitReport``s are built only when read
+(``ExactReports``); only the Monte-Carlo engine applies a margin. Merges,
+annexations and the monotonicity probe take each bloc's members out of the
+table and read the window of their combined weight (``exact.bloc_value``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from operator import mul, sub
-from typing import Iterable
+from operator import add, eq, gt, lt, mul, sub, truediv
 
 from .errors import BoundViolationError, InvalidMergeError, InvalidSplitError
 from .exact import (
@@ -67,6 +69,15 @@ class SplitReport:
 
 @dataclass(frozen=True)
 class ScanSummary:
+    """One player's split candidates: counts per classification, the first
+    candidate with the largest after-total (``best_index``, None without
+    candidates) and every candidate's report.
+
+    An exact scan classifies its candidates on integers and keeps
+    ``reports`` as a read-only ``ExactReports``, which builds each
+    ``SplitReport`` when it is read; a Monte-Carlo scan keeps a tuple.
+    """
+
     player: int
     kind: IndexKind
     engine: Engine
@@ -74,8 +85,13 @@ class ScanSummary:
     beneficial: int
     harmful: int
     neutral: int
-    best: SplitReport | None
-    reports: tuple[SplitReport, ...]
+    best_index: int | None
+    reports: Sequence[SplitReport]
+
+    @property
+    def best(self) -> SplitReport | None:
+        """The first report with the largest after-total, or None without candidates."""
+        return None if self.best_index is None else self.reports[self.best_index]
 
     def to_csv(self) -> str:
         lines = ["player,j,before,after,class"]
@@ -148,7 +164,7 @@ def _check_player(game: Game, player: int) -> None:
 
 
 # --- exact split values ------------------------------------------------------
-# One engine scores a split of a weight-w player into any k parts. An
+# One engine scores every split of a weight-w player into k parts at once. An
 # identity of part a is critical for a coalition of other players T plus a
 # set U of its partner identities exactly when w(T) lies in
 # [q - a - sum(U), q - 1 - sum(U)]. With V = U + {a} and P the (cumulative)
@@ -164,77 +180,156 @@ def _check_player(game: Game, player: int) -> None:
 # q' = q - sum(U). For m players that is m A(q'-1) - 2 B(q'-1), read from the
 # game's (A, B) table with the player taken out (see ``exact.game_table``):
 # two removals per player, none per pair.
+#
+# Candidates are scored as integer columns, never one at a time: per subset
+# mask of the parts, one column of subset sums over all candidates
+# (``_sum_columns``) and one ``map`` read of that size's profile. The empty
+# and the full mask sum to 0 and w for every candidate, so they add a
+# constant read once.
 
-def _subset_sums(parts) -> list[int]:
-    """Entry m is the sum of the parts whose bit is set in m."""
-    sums = [0]
-    for a in parts:
-        sums += [s + a for s in sums]
+def _sum_columns(candidates, k: int) -> list:
+    """Entry m, 0 < m < 2^k - 1: per candidate (a k-tuple of parts), the sum
+    of the parts whose bit is set in m."""
+    parts = list(zip(*candidates)) or [()] * k
+    sums = [None] * ((1 << k) - 1)
+    for m in range(1, len(sums)):
+        low = m & -m
+        part = parts[low.bit_length() - 1]
+        sums[m] = part if m == low else list(map(add, sums[m ^ low], part))
     return sums
 
 
-def _shapley_split_values(game: Game, player: int, k: int, table):
-    """Return the baseline value and the after-total function of k parts.
+def _add_reads(column, profile, sums, u: int) -> list:
+    """``column`` plus ``profile`` read at the sums of every mask of ``u`` parts."""
+    for m in range(1, len(sums)):
+        if m.bit_count() == u:
+            column = list(map(add, column, map(profile.__getitem__, sums[m])))
+    return column
 
-    With N = n + k - 1 players after the split, P_s the size-s cells of the
-    table without the player and F_t = sum_s (s+t)!(N-1-s-t)! P_s, a subset U of
-    the parts adds, over N!,
-    (k - |U|) F_|U|(q-1-sum(U)) - |U| F_(|U|-1)(q-1-sum(U)).
+
+def _shapley_scores(game: Game, player: int, k: int, candidates, table):
+    """Return the baseline value, each candidate's after-total numerator and
+    their common denominator N!, N = n + k - 1 players after the split.
+
+    With P_s the size-s cells of the table without the player and
+    c_t(s) = (s+t)!(N-1-s-t)!, a subset U of the parts, |U| = u, adds
+    sum_s e_u(s) P_s(q-1-sum(U)) with e_u = (k - u) c_u - u c_(u-1)
+    (c_-1 = c_k = 0). Sizes 0 and k are read only at sums 0 and w, so only
+    sizes 1 .. k - 1 need a profile over the whole window.
     """
     n, w = game.num_players, game.weights[player]
     total_players = n + k - 1
     fact = [math.factorial(i) for i in range(total_players + 1)]
     window = tail(without(table, [w]), w + 1)
-    # sizes 0 .. n - 1 of P at x = q - w - 1 .. q - 1
-    columns = [window[i:i + n] for i in range(0, len(window), table.stride)]
-    pivots = list(map(sub, columns[-1], columns[0]))
-    coeffs = [[fact[s + t] * fact[total_players - 1 - s - t] for s in range(n)] for t in range(k)]
-    f = [[sum(map(mul, c, col)) for col in columns] for c in coeffs]  # F_0 .. F_(k-1)
-    f.append([0] * (w + 1))  # F_k and F_-1
-    by_size = [[(k - u) * x - u * y for x, y in zip(f[u], f[u - 1])] for u in range(k + 1)]
-    by_mask = [by_size[bin(m).count("1")][::-1] for m in range(1 << k)]
-    denominator = fact[total_players]
-
-    def after_total(parts) -> Fraction:
-        return Fraction(sum(map(list.__getitem__, by_mask, _subset_sums(parts))), denominator)
-
-    return shapley_value_from_pivots(pivots, n), after_total
+    # sizes 0 .. n - 1 of P; entry s at x = q - 1 - s
+    columns = [window[i:i + n] for i in range(0, len(window), table.stride)][::-1]
+    pivots = list(map(sub, columns[0], columns[w]))
+    c = [[fact[s + t] * fact[total_players - 1 - s - t] for s in range(n)] for t in range(k)]
+    ends = k * sum(map(mul, c[0], columns[0])) - k * sum(map(mul, c[k - 1], columns[w]))
+    sums = _sum_columns(candidates, k)
+    numerators = [ends] * len(candidates)
+    for u in range(1, k):
+        e = [(k - u) * x - u * y for x, y in zip(c[u], c[u - 1])]
+        numerators = _add_reads(numerators, [sum(map(mul, e, col)) for col in columns], sums, u)
+    return shapley_value_from_pivots(pivots, n), numerators, fact[total_players]
 
 
-def _banzhaf_split_values(game: Game, player: int, k: int, table):
-    """Same shape as the Shapley variant, for normalized Banzhaf values.
+def _banzhaf_scores(game: Game, player: int, k: int, candidates, table):
+    """Return the baseline value, each candidate's count for its identities
+    and its split game's total count (the after-total is their ratio).
 
     With A_p, B_p the table without the player, a subset U of the parts adds
     (k - 2|U|) A_p(q-1-sum(U)) to the identities' count and
     H(sum(U)) = (n-1) A_p(q-1-sum(U)) - 2 B_p(q-1-sum(U)) to the other
     players' counts: their total at quota q - sum(U), since each player's
     count is the winning coalitions with it minus those without it (see the
-    comment above ``exact.game_table``). The baseline is eta_p over the game's
-    total n A(q-1) - 2 B(q-1).
+    comment above ``exact.game_table``). The empty and the full mask give the
+    identities k eta_p. The baseline is eta_p over the game's total
+    n A(q-1) - 2 B(q-1).
     """
     a, b = table
     n, w = game.num_players, game.weights[player]
     a_p, b_p = without(table, [w])
     window = tail(a_p, w + 1)[::-1]
-    h = [(n - 1) * x - 2 * y for x, y in zip(window, tail(b_p, w + 1)[::-1])]
-    by_size = [[c * x for x in window] for c in range(k, -k - 1, -2)]  # c = k - 2u
-    by_mask = [by_size[bin(m).count("1")] for m in range(1 << k)]
+    h = list(map(sub, map((n - 1).__mul__, window), map((2).__mul__, tail(b_p, w + 1)[::-1])))
+    eta = window[0] - window[w]
+    sums = _sum_columns(candidates, k)
+    own = [k * eta] * len(candidates)
+    totals = [k * eta + h[0] + h[w]] * len(candidates)
+    for u in range(1, k):
+        c = k - 2 * u
+        if c:
+            own = _add_reads(own, [c * x for x in window], sums, u)
+        totals = _add_reads(totals, [c * x + y for x, y in zip(window, h)] if c else h, sums, u)
+    return Fraction(eta, n * top(a) - 2 * top(b)), own, totals
 
-    def after_total(parts) -> Fraction:
-        sums = _subset_sums(parts)
-        own = sum(map(list.__getitem__, by_mask, sums))
-        return Fraction(own, own + sum(map(h.__getitem__, sums)))
 
-    return Fraction(window[0] - window[-1], n * top(a) - 2 * top(b)), after_total
+def _first_max_ratio(nums, dens) -> int:
+    """Index of the first maximum of nums[i] / dens[i], dens positive, on integers.
+
+    Starts at the first maximum of the correctly rounded quotients (rounding
+    keeps order, so it ties the exact maximum), moves to the first candidate
+    strictly above it while there is one, then takes the first equal to it.
+    """
+    quotients = list(map(truediv, nums, dens))
+    best = quotients.index(max(quotients))
+    while True:
+        left = list(map(dens[best].__mul__, nums))
+        right = list(map(nums[best].__mul__, dens))
+        above = list(map(gt, left, right))
+        if True not in above:
+            return list(map(eq, left, right)).index(True)
+        best = above.index(True)
+
+
+class ExactReports(Sequence):
+    """An exact scan's reports, each built from the scan's integer columns
+    when it is read.
+
+    Entry i reports ``candidates[i]``: after-total ``nums[i] / dens[i]``
+    (``dens`` is one int for every candidate or one per candidate) against
+    ``before``, classified by strict comparison. Read-only; compares equal to
+    another ``ExactReports`` or a tuple holding the same reports.
+    """
+
+    __slots__ = ("player", "candidates", "before", "nums", "dens")
+
+    def __init__(self, player: int, candidates, before: Fraction, nums, dens) -> None:
+        self.player, self.candidates, self.before = player, candidates, before
+        self.nums, self.dens = nums, dens
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        den = self.dens if isinstance(self.dens, int) else self.dens[i]
+        spec = SplitSpec(self.player, self.candidates[i])
+        return _report(spec, self.before, Fraction(self.nums[i], den), Engine.EXACT, None)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ExactReports, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
 
 
 def _summarize(player, kind, engine, reports) -> ScanSummary:
     counts = {c: 0 for c in Classification}
     best = None
-    for r in reports:
+    for i, r in enumerate(reports):
         counts[r.classification] += 1
-        if best is None or r.payoff_after_total > best.payoff_after_total:
-            best = r
+        if best is None or r.payoff_after_total > reports[best].payoff_after_total:
+            best = i
     return ScanSummary(
         player=player,
         kind=kind,
@@ -243,7 +338,7 @@ def _summarize(player, kind, engine, reports) -> ScanSummary:
         beneficial=counts[Classification.BENEFICIAL],
         harmful=counts[Classification.HARMFUL],
         neutral=counts[Classification.NEUTRAL],
-        best=best,
+        best_index=best,
         reports=tuple(reports),
     )
 
@@ -259,18 +354,36 @@ def _report(spec, before, after, engine, margin) -> SplitReport:
     )
 
 
-def _scan_exact(game: Game, player: int, kind: IndexKind, k: int, splits, table=None):
-    """Score each k-part split in ``splits``; builds the table if not given."""
+def _scan_exact(game: Game, player: int, kind: IndexKind, k: int, candidates, table=None):
+    """Score and classify every k-part split in ``candidates`` (a list of part
+    tuples) on integers; builds the table if not given. Reports are built
+    only when read (``ExactReports``)."""
     table = table or game_table(game, kind)
-    if kind is IndexKind.SHAPLEY_SHUBIK:
-        before, after_total = _shapley_split_values(game, player, k, table)
+    scores = _shapley_scores if kind is IndexKind.SHAPLEY_SHUBIK else _banzhaf_scores
+    before, nums, dens = scores(game, player, k, candidates, table)
+    p, q = before.numerator, before.denominator
+    if isinstance(dens, int):
+        # one denominator N!, which q (a divisor of n!) divides
+        threshold = p * (dens // q)
+        beneficial = sum(map(threshold.__lt__, nums))
+        harmful = sum(map(threshold.__gt__, nums))
+        best = nums.index(max(nums)) if nums else None
     else:
-        before, after_total = _banzhaf_split_values(game, player, k, table)
-    reports = [
-        _report(SplitSpec(player, parts), before, after_total(parts), Engine.EXACT, None)
-        for parts in splits
-    ]
-    return _summarize(player, kind, Engine.EXACT, reports)
+        after, baseline = list(map(q.__mul__, nums)), list(map(p.__mul__, dens))
+        beneficial = sum(map(gt, after, baseline))
+        harmful = sum(map(lt, after, baseline))
+        best = _first_max_ratio(nums, dens) if nums else None
+    return ScanSummary(
+        player=player,
+        kind=kind,
+        engine=Engine.EXACT,
+        total_splits=len(candidates),
+        beneficial=beneficial,
+        harmful=harmful,
+        neutral=len(candidates) - beneficial - harmful,
+        best_index=best,
+        reports=ExactReports(player, candidates, before, nums, dens),
+    )
 
 
 def scan_two_way_splits(
@@ -286,7 +399,8 @@ def scan_two_way_splits(
     """Evaluate every unordered integer split (j, w - j), j = 1 .. floor(w/2).
 
     A weight-1 player has no candidates and yields an empty summary. The exact
-    engine classifies by strict rational comparison; the Monte-Carlo engine
+    engine classifies by strict comparison on integers and builds each report
+    only when it is read; the Monte-Carlo engine
     uses ``margin`` (default twice the configured epsilon; a negative margin
     is refused) and samples on one thread. ``table``, if
     given, must be ``game_table(game, kind)``; scanning several players of
@@ -300,7 +414,9 @@ def scan_two_way_splits(
     candidates = range(1, w // 2 + 1)
     if engine is Engine.MONTE_CARLO:
         return _scan_two_way_mc(game, player, kind, candidates, mc_config, margin)
-    return _scan_exact(game, player, kind, 2, ((j, w - j) for j in candidates), table)
+    # the pairs (j, w - j), j ascending, built without a Python step per pair
+    pairs = list(zip(candidates, range(w - 1, (w - 1) // 2, -1)))
+    return _scan_exact(game, player, kind, 2, pairs, table)
 
 
 def _mc_value(game, player, kind, config) -> Fraction:
@@ -370,7 +486,7 @@ def scan_k_way_splits(
     if not 2 <= k <= MAX_KWAY:
         raise InvalidSplitError(f"k must be between 2 and {MAX_KWAY} (got {k})")
     w = game.weights[player]
-    return _scan_exact(game, player, kind, k, _partitions_into(w, k, w))
+    return _scan_exact(game, player, kind, k, list(_partitions_into(w, k, w)))
 
 
 def find_split_approx(
@@ -509,8 +625,8 @@ def check_split_bounds(game: Game, player: int, spec: SplitSpec) -> BoundReport:
     outcome = apply_split(game, spec)
 
     table = game_table(game, IndexKind.SHAPLEY_SHUBIK)
-    sh_before, after_total = _shapley_split_values(game, player, 2, table)
-    sh_after = after_total(spec.parts)
+    sh_before, [numerator], denominator = _shapley_scores(game, player, 2, [spec.parts], table)
+    sh_after = Fraction(numerator, denominator)
 
     counts = critical_counts(game)
     counts_after = critical_counts(outcome.game)

@@ -40,7 +40,7 @@ def derive_seed(*parts: object) -> int:
 def _as_probability(value, name: str) -> Fraction:
     try:
         frac = Fraction(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise InvalidConfigError(f"{name} must be a number in (0, 1), got {value!r}") from None
     if not 0 < frac < 1:
         raise InvalidConfigError(f"{name} must lie strictly in (0, 1), got {value!r}")

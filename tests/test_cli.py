@@ -212,6 +212,8 @@ class TestRefusedInputs:
             (("experiment", "--engine", "mc", "--epsilon", "nan"), "epsilon"),
             (("experiment", "--engine", "mc", "--epsilon", "abc"), "epsilon"),
             (("experiment", "--engine", "mc", "--delta", "2"), "delta"),
+            (("experiment", "--engine", "mc", "--epsilon", "1/0"), "epsilon"),
+            (("experiment", "--engine", "mc", "--delta", "1/0"), "delta"),
             (("experiment", "--mu", "1e308"), "weight_mean"),
             (("experiment", "--mu", "1e300", "--sigmas", "1"), "weight_mean"),
             (("experiment", "--sigmas", "5,1e300"), "sigma"),
@@ -244,6 +246,25 @@ class TestRefusedInputs:
         # A margin below 0 would class almost every sampled split as beneficial.
         base = ("--game", "7;3,3,2,2", "--player", "0", "--samples", "10")
         code, out, err = run_cli(capsys, *argv, *base)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert name in err and len(err) < 100
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("index", "--engine", "mc", "--epsilon", "1/0"), "epsilon"),
+            (("index", "--engine", "mc", "--delta", "1/0"), "delta"),
+            (("scan", "--engine", "mc", "--player", "0", "--epsilon", "1/0"), "epsilon"),
+            (("scan", "--engine", "mc", "--player", "0", "--delta", "1/0"), "delta"),
+            (("find-split", "--player", "0", "--epsilon", "1/0"), "epsilon"),
+            (("find-split", "--player", "0", "--delta", "1/0"), "delta"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+    )
+    def test_zero_denominator_probability_names_it(self, capsys, argv, name):
+        # Fraction("1/0") raises ZeroDivisionError, not ValueError.
+        code, out, err = run_cli(capsys, *argv, "--game", "6;2,2,2")
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert name in err and len(err) < 100

@@ -1,5 +1,6 @@
 """Random-game generation, the experiment runner, and stats export."""
 
+import dataclasses
 import json
 import math
 import random
@@ -7,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from wvg import (
     Engine,
@@ -27,32 +27,15 @@ from wvg import (
     shapley_dp_vector,
     stats_from_json,
 )
+from wvg import manipulation
 from wvg.experiments import HISTOGRAM_BINS, histogram_bin, round_half_away
 from wvg.game import apply_split
 
 from _oracles import banzhaf_by_subsets, random_game, shapley_by_subsets
+from _strategies import edge_games
 
 SH = IndexKind.SHAPLEY_SHUBIK
 BZ = IndexKind.BANZHAF
-
-
-@st.composite
-def edge_games(draw):
-    """Games of at most 10 players that reach the scans' edge cases.
-
-    Weights come from a pool of at most three values plus optional weight-1
-    players, so repeated weights are common; the quota is 1, the largest
-    weight (so some weight meets it), the total weight, or anywhere between.
-    """
-    pool = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
-    weights = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
-    ones = draw(st.integers(0, 10 - len(weights)))
-    weights = tuple(weights) + (1,) * ones
-    total = sum(weights)
-    quota = draw(
-        st.sampled_from([1, max(weights), total]) | st.integers(1, total)
-    )
-    return Game(quota, weights)
 
 
 TINY = ExperimentConfig(
@@ -203,9 +186,21 @@ class TestRunner:
         assert 0 <= stats.frac_games_with_beneficial <= 1
         assert 0 <= stats.overall_beneficial_fraction <= 1
 
-    def test_exact_mode_ignores_epsilon_delta(self):
-        import dataclasses
+    @pytest.mark.parametrize("kind", [SH, BZ])
+    def test_exact_study_builds_no_report(self, monkeypatch, kind):
+        # The study reads counts only: no SplitSpec or SplitReport per candidate.
+        config = dataclasses.replace(TINY, kind=kind)
+        expected = run_experiment(config)
+        assert expected.splits_total > 0
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact study built a per-candidate object")
+
+        for name in ("SplitReport", "SplitSpec"):
+            monkeypatch.setattr(manipulation, name, refuse)
+        assert run_experiment(config) == expected
+
+    def test_exact_mode_ignores_epsilon_delta(self):
         a = run_experiment(TINY)
         b = run_experiment(
             dataclasses.replace(TINY, epsilon=Fraction(1, 7), delta=Fraction(1, 9))

@@ -1,6 +1,8 @@
 """Split scans, merges, annexations, bound checks, and gadget constructions."""
 
+import pickle
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,6 +30,7 @@ from wvg import (
     high_quota_split_recommendation,
     merge_benefit,
     reduction_gadget,
+    scan_game,
     scan_k_way_splits,
     scan_two_way_splits,
     unanimity_split_recommendation,
@@ -36,6 +39,7 @@ from wvg import exact, manipulation
 from wvg.exact import game_table
 
 from _oracles import banzhaf_by_subsets, banzhaf_counts_by_subsets, shapley_by_subsets
+from _strategies import edge_games, mean_200_games
 
 SH = IndexKind.SHAPLEY_SHUBIK
 BZ = IndexKind.BANZHAF
@@ -396,6 +400,123 @@ class TestKWayScan:
             scan_k_way_splits(Game(6, (5, 5)), 1, 7, SH)
         with pytest.raises(InvalidSplitError):
             scan_k_way_splits(Game(6, (5, 5)), 1, 1, SH)
+
+
+@st.composite
+def scan_cases(draw):
+    """An edge-case game or a study-like mean-200 game of at most 10 players, and a player."""
+    game = draw(edge_games() | mean_200_games())
+    return game, draw(st.integers(0, game.num_players - 1))
+
+
+def _expected_class(before, after):
+    if after > before:
+        return Classification.BENEFICIAL
+    return Classification.HARMFUL if after < before else Classification.NEUTRAL
+
+
+@given(scan_cases(), st.sampled_from([2, 3]), st.sampled_from([SH, BZ]))
+@example((Game(3, (1, 2)), 0), 2, SH)  # weight 1: no candidates
+@example((Game(3, (1, 2)), 0), 3, BZ)
+@example((Game(4, (4, 2)), 1), 2, BZ)  # a dummy: eta_p = 0
+@example((Game(6, (6, 3)), 1), 3, SH)
+@example((Game(5, (9, 2, 2)), 0), 2, SH)  # heavier than the quota
+@example((Game(5, (9, 2, 2)), 0), 3, BZ)
+@settings(max_examples=30, deadline=None)
+def test_exact_scan_folds_from_its_reports_and_matches_the_oracle(case, k, kind):
+    """Counts, total and best, classified on integers, equal a fold over the
+    materialized reports, and the reports match enumeration of the split
+    game (all of them up to 6, else the first, best, middle and last)."""
+    game, player = case
+    if k == 2:
+        summary = scan_two_way_splits(game, player, kind)
+    else:
+        summary = scan_k_way_splits(game, player, k, kind)
+    reports = list(summary.reports)
+    classes = [r.classification for r in reports]
+    best = None
+    for i, r in enumerate(reports):
+        if best is None or r.payoff_after_total > reports[best].payoff_after_total:
+            best = i
+    assert (summary.total_splits, summary.beneficial, summary.harmful, summary.neutral) == (
+        len(reports),
+        classes.count(Classification.BENEFICIAL),
+        classes.count(Classification.HARMFUL),
+        classes.count(Classification.NEUTRAL),
+    )
+    assert summary.best_index == best
+    assert summary.best == (None if best is None else reports[best])
+    oracle = shapley_by_subsets if kind is SH else banzhaf_by_subsets
+    before = oracle(game)[player]
+    if len(reports) > 6:
+        reports = [reports[0], reports[best], reports[len(reports) // 2], reports[-1]]
+    for report in reports:
+        outcome = apply_split(game, report.spec)
+        after = sum(oracle(outcome.game)[p] for p in outcome.new_players)
+        assert (report.payoff_before, report.payoff_after_total) == (before, after)
+        assert report.classification is _expected_class(before, after)
+
+
+@pytest.mark.parametrize(
+    "nums, dens, best",
+    [
+        ([10**17, 10**17 + 1], [3 * 10**17, 3 * 10**17 + 2], 1),  # one float apart: exact
+        ([10**17 + 1, 10**17], [3 * 10**17 + 2, 3 * 10**17], 0),
+        ([1, 2, 5, 2], [3, 6, 16, 6], 0),  # exact ties: the first
+        ([0, 0, 0], [4, 5, 6], 0),
+        ([1, 3, 2], [4, 5, 6], 1),
+    ],
+)
+def test_first_max_ratio_is_exact(nums, dens, best):
+    assert manipulation._first_max_ratio(nums, dens) == best
+
+
+class TestExactReports:
+    """An exact scan's ``reports``: a read-only sequence whose entries are
+    built when read, supporting what the CLI, ``verify`` and the bench use."""
+
+    GAME = Game(17, (9, 4, 3, 2))
+
+    @staticmethod
+    def _check_sequence(reports, listed):
+        assert isinstance(reports, Sequence) and not isinstance(reports, tuple)
+        assert len(reports) == len(listed) > 2
+        assert [reports[i] for i in range(len(listed))] == listed
+        assert reports[-1] == listed[-1] and reports[-len(listed)] == listed[0]
+        for i in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                reports[i]
+        assert reports[1:3] == tuple(listed[1:3])
+        assert reports[::-2] == tuple(listed[::-2])
+        assert reports[len(listed):] == ()
+        assert reports == tuple(listed) and tuple(listed) == reports
+        assert reports != tuple(listed[:-1]) and reports != listed
+        assert hash(reports) == hash(tuple(listed))
+        assert pickle.loads(pickle.dumps(reports)) == reports
+        assert random.Random(5).choice(reports) == random.Random(5).choice(listed)
+        with pytest.raises(TypeError):
+            reports[0] = listed[0]
+
+    @pytest.mark.parametrize("kind", [SH, BZ], ids=["shapley", "banzhaf"])
+    def test_two_way_reports(self, kind):
+        scan = scan_two_way_splits(self.GAME, 0, kind)
+        listed = list(scan.reports)
+        assert [r.spec.parts for r in listed] == [(1, 8), (2, 7), (3, 6), (4, 5)]  # j ascending
+        self._check_sequence(scan.reports, listed)
+        assert scan == scan_two_way_splits(self.GAME, 0, kind) == scan_game(self.GAME, kind).scans[0]
+        assert pickle.loads(pickle.dumps(scan)) == scan
+
+    @pytest.mark.parametrize("kind", [SH, BZ], ids=["shapley", "banzhaf"])
+    def test_k_way_reports(self, kind):
+        scan = scan_k_way_splits(self.GAME, 0, 3, kind)
+        listed = list(scan.reports)
+        assert [r.spec.parts for r in listed] == [  # manipulation._partitions_into order
+            (7, 1, 1), (6, 2, 1), (5, 3, 1), (5, 2, 2), (4, 4, 1), (4, 3, 2), (3, 3, 3)
+        ]
+        self._check_sequence(scan.reports, listed)
+        assert scan == scan_k_way_splits(self.GAME, 0, 3, kind)
+        assert scan != scan_k_way_splits(self.GAME, 1, 3, kind)
+        assert pickle.loads(pickle.dumps(scan)) == scan
 
 
 class TestFindSplitApprox:

@@ -1,7 +1,9 @@
-"""The first seeded calls of two bench workloads reproduce their pinned output digests.
+"""The first seeded calls of the bench workloads reproduce their pinned output digests.
 
-Replays the first ``CALLS`` command lines of seed 1 of ``queries`` and
-``study-grid``, as ``perfbench/workloads.py`` generates them, through
+Replays the first ``CALLS[workload]`` command lines of seed 1 of each
+workload (20 of ``queries`` and ``study-grid``, and the first two of
+``study-default``, one default ``wvg experiment`` per kind), as
+``perfbench/workloads.py`` generates them, through
 ``wvg.cli.main`` and compares each output's digest (``perfbench/checks.py``)
 with ``perfbench/pinned.json``. Each Monte-Carlo call is replayed a second
 time with ``--threads 1`` appended, as the bench's replay check does, and
@@ -22,7 +24,7 @@ from wvg.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 1
-CALLS = 20
+CALLS = {"queries": 20, "study-grid": 20, "study-default": 2}
 
 
 def _load(name):
@@ -41,8 +43,8 @@ def _first_calls(workload):
     ops = []
     for cycle in count():
         ops += workloads.CYCLES[workload](SEED, cycle)
-        if len(ops) >= CALLS:
-            return ops[:CALLS]
+        if len(ops) >= CALLS[workload]:
+            return ops[:CALLS[workload]]
 
 
 def _replays(workload):
@@ -52,7 +54,7 @@ def _replays(workload):
             yield f"{workload}-{i}-threads1", workload, i, op.argv + ("--threads", "1")
 
 
-CASES = [case for w in ("queries", "study-grid") for case in _replays(w)]
+CASES = [case for w in CALLS for case in _replays(w)]
 
 
 @pytest.mark.parametrize("workload, i, argv", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
