@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import InvalidConfigError, WvgError
@@ -200,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_index(args) -> int:
     game = _resolve_game(args.game)
     kind = _KINDS[args.kind]
+    cfg = _mc_config(args)
     if args.engine == "exact":
         vec = index(game, kind)
         obj = {
@@ -216,10 +218,9 @@ def _cmd_index(args) -> int:
             ),
         )
         return 0
-    cfg = McConfig(args.epsilon, args.delta, seed=args.seed, sample_count_override=args.samples)
     if kind is IndexKind.SHAPLEY_SHUBIK:
         estimates = [
-            shapley_mc(game, i, McConfig(cfg.epsilon, cfg.delta, derive_seed(cfg.seed, "cli-index", i), cfg.sample_count_override))
+            shapley_mc(game, i, replace(cfg, seed=derive_seed(cfg.seed, "cli-index", i)))
             for i in range(game.num_players)
         ]
         obj = {
@@ -259,6 +260,7 @@ def _cmd_scan(args) -> int:
     game = _resolve_game(args.game)
     kind = _KINDS[args.kind]
     margin = _margin(args)
+    cfg = _mc_config(args)
     engine = Engine.EXACT if args.engine == "exact" else Engine.MONTE_CARLO
     if args.k != 2 and engine is Engine.MONTE_CARLO:
         raise InvalidConfigError(
@@ -267,9 +269,6 @@ def _cmd_scan(args) -> int:
     if margin is not None and engine is Engine.EXACT:
         raise InvalidConfigError("--margin applies to --engine mc only")
     if args.k == 2:
-        cfg = None
-        if engine is Engine.MONTE_CARLO:
-            cfg = McConfig(args.epsilon, args.delta, seed=args.seed, sample_count_override=args.samples)
         summary = scan_two_way_splits(
             game, args.player, kind, engine=engine, mc_config=cfg, margin=margin
         )
@@ -300,15 +299,16 @@ def _cmd_scan(args) -> int:
 def _cmd_find_split(args) -> int:
     game = _resolve_game(args.game)
     kind = _KINDS[args.kind]
+    cfg = _mc_config(args)
     spec = find_split_approx(
         game,
         args.player,
-        args.epsilon,
-        args.delta,
+        cfg.epsilon,
+        cfg.delta,
         kind=kind,
-        seed=args.seed,
+        seed=cfg.seed,
         margin=_margin(args),
-        sample_count_override=args.samples,
+        sample_count_override=cfg.sample_count_override,
     )
     obj = {
         "command": "find-split",
@@ -453,6 +453,11 @@ def _parsed(parse, text: str, name: str):
 
 def _margin(args) -> Fraction | None:
     return None if args.margin is None else _parsed(Fraction, args.margin, "margin")
+
+
+def _mc_config(args) -> McConfig:
+    """The sampling flags as a validated ``McConfig``, refused whatever the engine."""
+    return McConfig(args.epsilon, args.delta, seed=args.seed, sample_count_override=args.samples)
 
 
 def _player_range(text: str) -> tuple[int, int]:

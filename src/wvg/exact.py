@@ -440,10 +440,12 @@ def critical_counts(game: Game) -> CriticalCounts:
 def index(game: Game, kind: IndexKind | str) -> IndexVector:
     """Exact index of every player; enumeration up to the limit, DP above it.
 
-    Both engines agree exactly; up to the limit enumeration is faster for
-    Shapley-Shubik. Above it each kind builds one counting table for the
-    game and takes every player out of it once (``shapley_dp_vector``,
-    ``banzhaf_counts_dp_vector``).
+    Both engines agree exactly. Enumeration is not the faster one (for
+    Shapley-Shubik the DP wins from about 10 players); it stays below the
+    limit because its cost does not grow with the weights, so it is the only
+    engine for quotas too large for a counting table. Above the limit each
+    kind builds one counting table for the game and takes every player out
+    of it once (``shapley_dp_vector``, ``banzhaf_counts_dp_vector``).
     """
     kind = IndexKind(kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:

@@ -22,6 +22,8 @@ from .montecarlo import McConfig, _as_margin, _as_probability, derive_seed
 
 HISTOGRAM_BINS = 200
 BIN_WIDTH = Fraction(1, HISTOGRAM_BINS)
+# The largest quota the exact engine takes in a study; above it a run is refused.
+DP_QUOTA_CEILING = 100_000
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class ExperimentConfig:
     engine: Engine = Engine.EXACT
     kind: IndexKind = IndexKind.SHAPLEY_SHUBIK
     unanimity_quota: bool = False
-    dp_quota_ceiling: int = 100_000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight_sigma_set", tuple(self.weight_sigma_set))
@@ -195,10 +196,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentStats:
         for g in range(config.games_per_cell):
             rng = random.Random(derive_seed("experiment-gen", config.seed, sigma, g))
             game = generate_game(config, rng, sigma)
-            if config.engine is Engine.EXACT and game.quota > config.dp_quota_ceiling:
+            if config.engine is Engine.EXACT and game.quota > DP_QUOTA_CEILING:
                 raise ResourceLimitError(
-                    f"quota {game.quota} exceeds the exact-engine ceiling "
-                    f"{config.dp_quota_ceiling}"
+                    f"quota {game.quota} exceeds the exact-engine ceiling {DP_QUOTA_CEILING}"
                 )
             mc_config = None
             if config.engine is Engine.MONTE_CARLO:

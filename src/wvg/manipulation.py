@@ -10,9 +10,11 @@ and builds no split or merged game. Split scans, two-way and k-way alike,
 take the player out of the table by deconvolution and score all of its
 candidates at once as integer columns: per subset of a split's parts, one
 column of subset sums read into the player's window profiles (see the
-comment above ``_sum_columns``). Exact candidates are classified by integer
-comparison, and their ``SplitReport``s are built only when read
-(``ExactReports``); only the Monte-Carlo engine applies a margin. Merges,
+comment above ``_sum_columns``). The Monte-Carlo two-way scan estimates each
+candidate's after-total as a fraction. Either way one function
+(``_summary``) classifies every candidate on integer numerators and
+denominators, and each ``SplitReport`` is built only when read
+(``SplitReports``); only the Monte-Carlo engine applies a margin. Merges,
 annexations and the monotonicity probe take each bloc's members out of the
 table and read the window of their combined weight (``exact.bloc_value``).
 """
@@ -73,9 +75,9 @@ class ScanSummary:
     candidate with the largest after-total (``best_index``, None without
     candidates) and every candidate's report.
 
-    An exact scan classifies its candidates on integers and keeps
-    ``reports`` as a read-only ``ExactReports``, which builds each
-    ``SplitReport`` when it is read; a Monte-Carlo scan keeps a tuple.
+    Both engines build it in ``_summary``, which classifies every candidate
+    on integers and keeps ``reports`` as a read-only ``SplitReports``: each
+    ``SplitReport`` is built, and classified the same way, when it is read.
     """
 
     player: int
@@ -144,16 +146,6 @@ class GadgetVariant(str, Enum):
     SS_SPLIT = "ss_split"
     MERGE = "merge"
     ANNEX = "annex"
-
-
-def _classify(before: Fraction, after: Fraction, margin: Fraction | None) -> Classification:
-    """Strict comparison when ``margin`` is None (exact), else outside +-margin."""
-    high, low = (before, before) if margin is None else (before + margin, before - margin)
-    if after > high:
-        return Classification.BENEFICIAL
-    if after < low:
-        return Classification.HARMFUL
-    return Classification.NEUTRAL
 
 
 def _check_player(game: Game, player: int) -> None:
@@ -282,37 +274,90 @@ def _first_max_ratio(nums, dens) -> int:
         best = above.index(True)
 
 
-class ExactReports(Sequence):
-    """An exact scan's reports, each built from the scan's integer columns
-    when it is read.
+def _bounds(before: Fraction, margin: Fraction | None) -> tuple[int, int, int, int]:
+    """``before + margin`` and ``before - margin`` as numerator, denominator,
+    numerator, denominator; ``before`` twice when ``margin`` is None or 0."""
+    high, low = (before, before) if not margin else (before + margin, before - margin)
+    return high.numerator, high.denominator, low.numerator, low.denominator
 
-    Entry i reports ``candidates[i]``: after-total ``nums[i] / dens[i]``
-    (``dens`` is one int for every candidate or one per candidate) against
-    ``before``, classified by strict comparison. Read-only; compares equal to
-    another ``ExactReports`` or a tuple holding the same reports.
+
+def _summary(player, kind, engine, candidates, before, nums, dens, margin=None) -> ScanSummary:
+    """The one constructor of ``ScanSummary``, for both engines.
+
+    Candidate i (``candidates[i]``, a part tuple) has after-total
+    ``nums[i] / dens[i]``, where ``dens`` is one positive int for every
+    candidate or one per candidate. It is beneficial above
+    ``before + margin``, harmful below ``before - margin`` (strict
+    comparison with ``before`` when ``margin`` is None) and neutral otherwise,
+    counted on integers; ``best_index`` is the first largest after-total.
+    """
+    hp, hq, lp, lq = _bounds(before, margin)
+    if isinstance(dens, int):
+        # an integer exceeds a/b iff it exceeds floor(a/b), is below it iff below ceil(a/b)
+        high, low = hp * dens // hq, -(-lp * dens // lq)
+        beneficial = sum(map(high.__lt__, nums))
+        harmful = sum(map(low.__gt__, nums))
+        best = nums.index(max(nums)) if nums else None
+    else:
+        after, bound = list(map(hq.__mul__, nums)), list(map(hp.__mul__, dens))
+        beneficial = sum(map(gt, after, bound))
+        if margin:
+            after, bound = list(map(lq.__mul__, nums)), list(map(lp.__mul__, dens))
+        harmful = sum(map(lt, after, bound))
+        best = _first_max_ratio(nums, dens) if nums else None
+    return ScanSummary(
+        player=player,
+        kind=kind,
+        engine=engine,
+        total_splits=len(nums),
+        beneficial=beneficial,
+        harmful=harmful,
+        neutral=len(nums) - beneficial - harmful,
+        best_index=best,
+        reports=SplitReports(player, engine, candidates, before, nums, dens, margin),
+    )
+
+
+class SplitReports(Sequence):
+    """A scan's reports, each built from the scan's integer columns when it
+    is read.
+
+    Entry i reports ``candidates[i]`` with after-total ``nums[i] / dens[i]``
+    against ``before``, classified as ``_summary`` counts it: by integer
+    cross-multiplication with ``before +- margin``. Read-only; compares equal
+    to another ``SplitReports`` or a tuple holding the same reports.
     """
 
-    __slots__ = ("player", "candidates", "before", "nums", "dens")
+    __slots__ = ("player", "engine", "candidates", "before", "nums", "dens", "margin")
 
-    def __init__(self, player: int, candidates, before: Fraction, nums, dens) -> None:
-        self.player, self.candidates, self.before = player, candidates, before
-        self.nums, self.dens = nums, dens
+    def __init__(self, player, engine, candidates, before, nums, dens, margin) -> None:
+        self.player, self.engine, self.candidates = player, engine, candidates
+        self.before, self.nums, self.dens, self.margin = before, nums, dens, margin
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.nums)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        num = self.nums[i]
         den = self.dens if isinstance(self.dens, int) else self.dens[i]
+        hp, hq, lp, lq = _bounds(self.before, self.margin)
+        if num * hq > hp * den:
+            classification = Classification.BENEFICIAL
+        elif num * lq < lp * den:
+            classification = Classification.HARMFUL
+        else:
+            classification = Classification.NEUTRAL
         spec = SplitSpec(self.player, self.candidates[i])
-        return _report(spec, self.before, Fraction(self.nums[i], den), Engine.EXACT, None)
+        after = Fraction(num, den)
+        return SplitReport(spec, self.before, after, classification, self.engine, self.margin)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (ExactReports, tuple)):
+        if not isinstance(other, (SplitReports, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
@@ -323,67 +368,12 @@ class ExactReports(Sequence):
         return f"{type(self).__name__}({tuple(self)!r})"
 
 
-def _summarize(player, kind, engine, reports) -> ScanSummary:
-    counts = {c: 0 for c in Classification}
-    best = None
-    for i, r in enumerate(reports):
-        counts[r.classification] += 1
-        if best is None or r.payoff_after_total > reports[best].payoff_after_total:
-            best = i
-    return ScanSummary(
-        player=player,
-        kind=kind,
-        engine=engine,
-        total_splits=len(reports),
-        beneficial=counts[Classification.BENEFICIAL],
-        harmful=counts[Classification.HARMFUL],
-        neutral=counts[Classification.NEUTRAL],
-        best_index=best,
-        reports=tuple(reports),
-    )
-
-
-def _report(spec, before, after, engine, margin) -> SplitReport:
-    return SplitReport(
-        spec=spec,
-        payoff_before=before,
-        payoff_after_total=after,
-        classification=_classify(before, after, margin),
-        engine=engine,
-        margin=margin,
-    )
-
-
 def _scan_exact(game: Game, player: int, kind: IndexKind, k: int, candidates, table=None):
     """Score and classify every k-part split in ``candidates`` (a list of part
-    tuples) on integers; builds the table if not given. Reports are built
-    only when read (``ExactReports``)."""
+    tuples) on integers; builds the table if not given."""
     table = table or game_table(game, kind)
     scores = _shapley_scores if kind is IndexKind.SHAPLEY_SHUBIK else _banzhaf_scores
-    before, nums, dens = scores(game, player, k, candidates, table)
-    p, q = before.numerator, before.denominator
-    if isinstance(dens, int):
-        # one denominator N!, which q (a divisor of n!) divides
-        threshold = p * (dens // q)
-        beneficial = sum(map(threshold.__lt__, nums))
-        harmful = sum(map(threshold.__gt__, nums))
-        best = nums.index(max(nums)) if nums else None
-    else:
-        after, baseline = list(map(q.__mul__, nums)), list(map(p.__mul__, dens))
-        beneficial = sum(map(gt, after, baseline))
-        harmful = sum(map(lt, after, baseline))
-        best = _first_max_ratio(nums, dens) if nums else None
-    return ScanSummary(
-        player=player,
-        kind=kind,
-        engine=Engine.EXACT,
-        total_splits=len(candidates),
-        beneficial=beneficial,
-        harmful=harmful,
-        neutral=len(candidates) - beneficial - harmful,
-        best_index=best,
-        reports=ExactReports(player, candidates, before, nums, dens),
-    )
+    return _summary(player, kind, Engine.EXACT, candidates, *scores(game, player, k, candidates, table))
 
 
 def scan_two_way_splits(
@@ -399,62 +389,55 @@ def scan_two_way_splits(
     """Evaluate every unordered integer split (j, w - j), j = 1 .. floor(w/2).
 
     A weight-1 player has no candidates and yields an empty summary. The exact
-    engine classifies by strict comparison on integers and builds each report
-    only when it is read; the Monte-Carlo engine
-    uses ``margin`` (default twice the configured epsilon; a negative margin
-    is refused) and samples on one thread. ``table``, if
-    given, must be ``game_table(game, kind)``; scanning several players of
-    one game with it builds the table once instead of once per player. The
-    results are identical either way.
+    engine classifies by strict comparison; the Monte-Carlo engine uses
+    ``margin`` (default twice the configured epsilon; a negative margin is
+    refused) and samples on one thread. Both classify on integers and build
+    each report only when it is read. ``table``, if given, must be
+    ``game_table(game, kind)``; scanning several players of one game with it
+    builds the table once instead of once per player. The results are
+    identical either way.
     """
     kind = IndexKind(kind)
     engine = Engine(engine)
     _check_player(game, player)
-    w = game.weights[player]
-    candidates = range(1, w // 2 + 1)
     if engine is Engine.MONTE_CARLO:
-        return _scan_two_way_mc(game, player, kind, candidates, mc_config, margin)
+        config = mc_config or McConfig(Fraction(1, 100), Fraction(1, 100))
+        margin = _as_margin(2 * config.epsilon if margin is None else margin)
+        totals = _mc_after_totals(game, player, kind, config, "baseline", "split")
+        before, scored = next(totals), list(totals)
+        nums = [after.numerator for _, after in scored]
+        dens = [after.denominator for _, after in scored]
+        return _summary(player, kind, engine, [p for p, _ in scored], before, nums, dens, margin)
+    w = game.weights[player]
     # the pairs (j, w - j), j ascending, built without a Python step per pair
-    pairs = list(zip(candidates, range(w - 1, (w - 1) // 2, -1)))
+    pairs = list(zip(range(1, w // 2 + 1), range(w - 1, (w - 1) // 2, -1)))
     return _scan_exact(game, player, kind, 2, pairs, table)
 
 
-def _mc_value(game, player, kind, config) -> Fraction:
-    if kind is IndexKind.SHAPLEY_SHUBIK:
-        return shapley_mc(game, player, config).value
-    return banzhaf_mc(game, config)[player]
+def _mc_after_totals(game, player, kind, config, base_tag, split_tag):
+    """Yield the estimated baseline, then ``(parts, after-total)`` for every
+    two-way split (j, w - j), j ascending, each sampled only when asked for.
 
-
-def _mc_split_total(outcome, kind, cfg) -> Fraction:
-    """Estimated total index of a two-way split's new identities.
-
-    Shapley estimates the two identities separately, the second at seed + 1;
-    Banzhaf sums one estimated vector.
+    The baseline is seeded with ``base_tag`` and split j with ``split_tag``
+    and j. Shapley-Shubik estimates each identity separately, the second at
+    seed + 1; Banzhaf sums one estimated vector.
     """
-    if kind is IndexKind.SHAPLEY_SHUBIK:
-        a, b = outcome.new_players
-        return (
-            shapley_mc(outcome.game, a, cfg).value
-            + shapley_mc(outcome.game, b, replace(cfg, seed=cfg.seed + 1)).value
-        )
-    vec = banzhaf_mc(outcome.game, cfg)
-    return sum(vec[p] for p in outcome.new_players)
 
+    def estimate(g, players, *context):
+        cfg = replace(config, seed=derive_seed(config.seed, *context))
+        if kind is IndexKind.SHAPLEY_SHUBIK:
+            return sum(
+                shapley_mc(g, p, replace(cfg, seed=cfg.seed + i)).value
+                for i, p in enumerate(players)
+            )
+        vec = banzhaf_mc(g, cfg)
+        return sum(vec[p] for p in players)
 
-def _scan_two_way_mc(game, player, kind, candidates, mc_config, margin) -> ScanSummary:
-    if mc_config is None:
-        mc_config = McConfig(Fraction(1, 100), Fraction(1, 100))
-    margin = _as_margin(2 * mc_config.epsilon if margin is None else margin)
-    base_cfg = replace(mc_config, seed=derive_seed(mc_config.seed, "baseline", player))
-    before = _mc_value(game, player, kind, base_cfg)
-    reports = []
+    yield estimate(game, [player], base_tag, player)
     w = game.weights[player]
-    for j in candidates:
-        spec = SplitSpec(player, (j, w - j))
-        cfg = replace(mc_config, seed=derive_seed(mc_config.seed, "split", player, j))
-        after = _mc_split_total(apply_split(game, spec), kind, cfg)
-        reports.append(_report(spec, before, after, Engine.MONTE_CARLO, margin))
-    return _summarize(player, kind, Engine.MONTE_CARLO, reports)
+    for j in range(1, w // 2 + 1):
+        outcome = apply_split(game, SplitSpec(player, (j, w - j)))
+        yield (j, w - j), estimate(outcome.game, outcome.new_players, split_tag, player, j)
 
 
 def _partitions_into(total: int, k: int, max_part: int):
@@ -512,15 +495,9 @@ def find_split_approx(
     _check_player(game, player)
     config = McConfig(epsilon, delta, seed=seed, sample_count_override=sample_count_override)
     margin = _as_margin(3 * config.epsilon if margin is None else margin)
-    base_cfg = replace(config, seed=derive_seed(seed, "findsplit-base", player))
-    baseline = _mc_value(game, player, kind, base_cfg)
-    w = game.weights[player]
-    for j in range(1, w // 2 + 1):
-        spec = SplitSpec(player, (j, w - j))
-        cfg = replace(config, seed=derive_seed(seed, "findsplit", player, j))
-        if _mc_split_total(apply_split(game, spec), kind, cfg) > baseline + margin:
-            return spec
-    return None
+    totals = _mc_after_totals(game, player, kind, config, "findsplit-base", "findsplit")
+    bar = next(totals) + margin
+    return next((SplitSpec(player, parts) for parts, after in totals if after > bar), None)
 
 
 def merge_benefit(game: Game, coalition: Iterable[int], kind: IndexKind | str) -> MergeReport:

@@ -74,7 +74,9 @@ class McConfig:
         object.__setattr__(self, "epsilon", _as_probability(self.epsilon, "epsilon"))
         object.__setattr__(self, "delta", _as_probability(self.delta, "delta"))
         if self.sample_count_override is not None and self.sample_count_override < 1:
-            raise InvalidConfigError("sample_count_override must be positive")
+            raise InvalidConfigError(
+                f"sample_count_override must be positive, got {self.sample_count_override}"
+            )
 
     def samples(self) -> int:
         if self.sample_count_override is not None:

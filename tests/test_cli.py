@@ -269,6 +269,27 @@ class TestRefusedInputs:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert name in err and len(err) < 100
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("index", "--kind", "banzhaf", "--epsilon", "1/0"), "epsilon"),
+            (("index", "--delta", "abc"), "delta"),
+            (("index", "--samples", "0"), "sample_count_override"),
+            (("index", "--engine", "mc", "--samples", "-5"), "sample_count_override"),
+            (("scan", "--player", "0", "--delta", "abc", "--samples", "-5"), "delta"),
+            (("scan", "--player", "0", "--samples", "-5"), "sample_count_override"),
+            (("scan", "--player", "0", "--k", "3", "--epsilon", "2"), "epsilon"),
+            (("find-split", "--player", "0", "--samples", "0"), "sample_count_override"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+    )
+    def test_sampling_flags_refused_under_any_engine(self, capsys, argv, name):
+        # the exact engine samples nothing, yet a malformed flag is not ignored
+        code, out, err = run_cli(capsys, *argv, "--game", "6;3,3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert name in err and len(err) < 100
+
     @pytest.mark.parametrize("option", ["--samples", "--threads"])
     def test_experiment_refuses_sampling_options(self, capsys, option):
         # experiment derives its sample count from epsilon and delta and never read these.

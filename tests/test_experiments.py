@@ -28,7 +28,7 @@ from wvg import (
     stats_from_json,
 )
 from wvg import manipulation
-from wvg.experiments import HISTOGRAM_BINS, histogram_bin, round_half_away
+from wvg.experiments import DP_QUOTA_CEILING, HISTOGRAM_BINS, histogram_bin, round_half_away
 from wvg.game import apply_split
 
 from _oracles import banzhaf_by_subsets, random_game, shapley_by_subsets
@@ -233,11 +233,12 @@ class TestRunner:
         assert run_experiment(config) == stats
 
     def test_quota_ceiling(self):
+        # five players of mean weight half the ceiling, quota their total weight
         config = ExperimentConfig(
-            weight_mean=50.0, weight_sigma_set=(5.0,), player_range=(5, 8),
-            games_per_cell=2, dp_quota_ceiling=10, seed=1,
+            weight_mean=DP_QUOTA_CEILING / 2, weight_sigma_set=(5.0,), player_range=(5, 5),
+            games_per_cell=1, unanimity_quota=True, seed=1,
         )
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=f"ceiling {DP_QUOTA_CEILING}"):
             run_experiment(config)
 
     def test_faithful_preset_shape(self):

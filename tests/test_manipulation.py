@@ -409,10 +409,30 @@ def scan_cases(draw):
     return game, draw(st.integers(0, game.num_players - 1))
 
 
-def _expected_class(before, after):
-    if after > before:
+def _expected_class(before, after, margin=0):
+    if after > before + margin:
         return Classification.BENEFICIAL
-    return Classification.HARMFUL if after < before else Classification.NEUTRAL
+    return Classification.HARMFUL if after < before - margin else Classification.NEUTRAL
+
+
+def _check_folds(summary):
+    """Assert that the summary's counts, total and best fold from its
+    materialized reports; return the reports and the best index."""
+    reports = list(summary.reports)
+    classes = [r.classification for r in reports]
+    best = None
+    for i, r in enumerate(reports):
+        if best is None or r.payoff_after_total > reports[best].payoff_after_total:
+            best = i
+    assert (summary.total_splits, summary.beneficial, summary.harmful, summary.neutral) == (
+        len(reports),
+        classes.count(Classification.BENEFICIAL),
+        classes.count(Classification.HARMFUL),
+        classes.count(Classification.NEUTRAL),
+    )
+    assert summary.best_index == best
+    assert summary.best == (None if best is None else reports[best])
+    return reports, best
 
 
 @given(scan_cases(), st.sampled_from([2, 3]), st.sampled_from([SH, BZ]))
@@ -432,20 +452,7 @@ def test_exact_scan_folds_from_its_reports_and_matches_the_oracle(case, k, kind)
         summary = scan_two_way_splits(game, player, kind)
     else:
         summary = scan_k_way_splits(game, player, k, kind)
-    reports = list(summary.reports)
-    classes = [r.classification for r in reports]
-    best = None
-    for i, r in enumerate(reports):
-        if best is None or r.payoff_after_total > reports[best].payoff_after_total:
-            best = i
-    assert (summary.total_splits, summary.beneficial, summary.harmful, summary.neutral) == (
-        len(reports),
-        classes.count(Classification.BENEFICIAL),
-        classes.count(Classification.HARMFUL),
-        classes.count(Classification.NEUTRAL),
-    )
-    assert summary.best_index == best
-    assert summary.best == (None if best is None else reports[best])
+    reports, best = _check_folds(summary)
     oracle = shapley_by_subsets if kind is SH else banzhaf_by_subsets
     before = oracle(game)[player]
     if len(reports) > 6:
@@ -471,9 +478,43 @@ def test_first_max_ratio_is_exact(nums, dens, best):
     assert manipulation._first_max_ratio(nums, dens) == best
 
 
-class TestExactReports:
-    """An exact scan's ``reports``: a read-only sequence whose entries are
-    built when read, supporting what the CLI, ``verify`` and the bench use."""
+B, H, N = Classification.BENEFICIAL, Classification.HARMFUL, Classification.NEUTRAL
+
+
+@pytest.mark.parametrize(
+    "before, margin, den, nums, classes",
+    [
+        # bounds 11/42 and 17/42 on the grid: equal is neutral, one step out is not
+        (Fraction(1, 3), Fraction(1, 14), 42, [10, 11, 14, 17, 18], [H, N, N, N, B]),
+        # bounds 9/30 and 11/30: only the lower one is on the grid of tenths
+        (Fraction(1, 3), Fraction(1, 30), 10, [2, 3, 4, 3], [H, N, B, N]),
+        # bounds 11/30 and 13/30: neither is on the grid
+        (Fraction(2, 5), Fraction(1, 30), 10, [3, 4, 5, 4], [H, N, B, N]),
+        (Fraction(1, 3), None, 3, [0, 1, 2, 1], [H, N, B, N]),
+        (Fraction(1, 3), 0, 3, [0, 1, 2, 1], [H, N, B, N]),
+        (Fraction(0), None, 5, [0, 0, 1], [N, N, B]),
+    ],
+)
+@pytest.mark.parametrize("per_candidate", [False, True], ids=["one den", "den per candidate"])
+def test_summary_classifies_on_the_bounds(before, margin, den, nums, classes, per_candidate):
+    """A total equal to before + margin or before - margin is neutral, one
+    just outside is beneficial or harmful, and margin None and 0 agree, with
+    one denominator or with one unreduced denominator per candidate."""
+    if per_candidate:
+        nums, den = [x * (i + 2) for i, x in enumerate(nums)], [den * (i + 2) for i in range(len(nums))]
+    candidates = [(i + 1, 1) for i in range(len(nums))]
+    summary = manipulation._summary(3, SH, Engine.EXACT, candidates, before, nums, den, margin)
+    assert [r.classification for r in summary.reports] == classes
+    assert (summary.beneficial, summary.harmful, summary.neutral) == tuple(map(classes.count, (B, H, N)))
+    assert summary.best_index == classes.index(B)
+    assert all(r.payoff_before == before and r.margin == margin for r in summary.reports)
+    assert [r.spec for r in summary.reports] == [SplitSpec(3, parts) for parts in candidates]
+
+
+class TestSplitReports:
+    """A scan's ``reports``, for both engines: a read-only sequence whose
+    entries are built when read, supporting what the CLI, ``verify`` and the
+    bench use."""
 
     GAME = Game(17, (9, 4, 3, 2))
 
@@ -516,6 +557,22 @@ class TestExactReports:
         self._check_sequence(scan.reports, listed)
         assert scan == scan_k_way_splits(self.GAME, 0, 3, kind)
         assert scan != scan_k_way_splits(self.GAME, 1, 3, kind)
+        assert pickle.loads(pickle.dumps(scan)) == scan
+
+    @pytest.mark.parametrize("kind", [SH, BZ], ids=["shapley", "banzhaf"])
+    def test_monte_carlo_reports(self, kind):
+        cfg = McConfig("0.05", "0.05", seed=3, sample_count_override=40)
+        scan = scan_two_way_splits(self.GAME, 0, kind, engine=Engine.MONTE_CARLO, mc_config=cfg)
+        listed, _ = _check_folds(scan)
+        assert [r.spec.parts for r in listed] == [(1, 8), (2, 7), (3, 6), (4, 5)]
+        assert all(r.engine is Engine.MONTE_CARLO and r.margin == Fraction(1, 10) for r in listed)
+        assert [r.classification for r in listed] == [
+            _expected_class(r.payoff_before, r.payoff_after_total, r.margin) for r in listed
+        ]
+        self._check_sequence(scan.reports, listed)
+        assert scan == scan_two_way_splits(
+            self.GAME, 0, kind, engine=Engine.MONTE_CARLO, mc_config=cfg
+        )
         assert pickle.loads(pickle.dumps(scan)) == scan
 
 
