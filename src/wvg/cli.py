@@ -528,11 +528,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        print(
-            "error: out of memory; the input needs larger counting tables than fit "
-            "(try a smaller quota or fewer players)",
-            file=sys.stderr,
-        )
+        print("error: out of memory", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

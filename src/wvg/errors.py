@@ -21,10 +21,6 @@ class InvalidMergeError(WvgError):
     """A merge specification is empty or self-referential."""
 
 
-class SizeLimitError(WvgError):
-    """Enumeration was requested above the player limit; use the DP engine."""
-
-
 class InvalidConfigError(WvgError):
     """Sampling or experiment parameters are out of range."""
 
@@ -34,7 +30,8 @@ class DegenerateNormalizationError(WvgError):
 
 
 class ResourceLimitError(WvgError):
-    """An exact computation would exceed the configured ceiling."""
+    """Exact work too large to run: a counting table over ``exact.TABLE_BITS_LIMIT``
+    bits, or enumeration above ``exact.DEFAULT_ENUMERATION_LIMIT`` players."""
 
 
 class BoundViolationError(WvgError):

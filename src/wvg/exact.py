@@ -14,6 +14,10 @@ taken back out of that table by deconvolution, which gives the same counts
 over the other players. Criticality of a player with weight w only asks
 whether a coalition weight lies in the window [q - w, q - 1], so its count is
 two reads (``window_count``) and memory stays O(q) slots per size class.
+
+A table over ``TABLE_BITS_LIMIT`` bits raises ``ResourceLimitError``; for such
+quotas enumeration, whose cost does not grow with the weights, is the only
+engine, up to ``DEFAULT_ENUMERATION_LIMIT`` players.
 """
 
 from __future__ import annotations
@@ -22,16 +26,18 @@ import decimal
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 from operator import sub
 
-from .errors import SizeLimitError, WvgError
+from .errors import ResourceLimitError, WvgError
 from .game import Game
 
 DEFAULT_ENUMERATION_LIMIT = 12
+# The most bits (cap * stride * slot bits) any one counting table may hold: 16 MiB.
+TABLE_BITS_LIMIT = 1 << 27
 
 
 class IndexKind(str, Enum):
@@ -155,7 +161,13 @@ def _mask(table: PackedTable) -> int:
 
 
 def _empty(cap: int, stride: int, bits: int) -> PackedTable:
-    """The cumulative table of no players: slot x * stride is 1 for every x."""
+    """The cumulative table of no players: slot x * stride is 1 for every x.
+    Every table is allocated here, so this is the one table size check."""
+    if cap * stride * bits > TABLE_BITS_LIMIT:
+        raise ResourceLimitError(
+            f"a counting table for quota {cap} needs {cap * stride} slots of {bits} bits "
+            f"({cap * stride * bits} bits), above TABLE_BITS_LIMIT = {TABLE_BITS_LIMIT}"
+        )
     weight = (1).to_bytes(bits // 8, "little") + bytes((stride - 1) * bits // 8)
     return PackedTable(int.from_bytes(weight * cap, "little"), bits, stride, cap)
 
@@ -170,7 +182,7 @@ def _add_weights(table: PackedTable, weights) -> PackedTable:
     for w in weights:
         if w < table.cap:
             v = (v + (v << _shift(table, w))) & mask
-    return replace(table, value=v)
+    return PackedTable(v, table.bits, table.stride, table.cap)
 
 
 def subset_weight_counts(weights, cap: int) -> PackedTable:
@@ -203,7 +215,7 @@ def remove_weight(table: PackedTable, w: int) -> PackedTable:
         v += (v & (1 << size - t) - 1) << t
         t *= 2
     v -= (v & (1 << size - s) - 1) << s
-    return replace(table, value=v & mask)
+    return PackedTable(v & mask, table.bits, table.stride, table.cap)
 
 
 def without(table, weights):
@@ -218,7 +230,7 @@ def without(table, weights):
         else:
             a, b = table
             a = remove_weight(a, w)
-            b = replace(b, value=(b.value - (a.value << _shift(a, w))) & _mask(b))
+            b = PackedTable((b.value - (a.value << _shift(a, w))) & _mask(b), a.bits, 1, a.cap)
             table = a, remove_weight(b, w)
     return table
 
@@ -292,7 +304,7 @@ def game_table(game: Game, kind: IndexKind | str):
             s = _shift(a, w)
             bv = (bv + ((bv + av) << s)) & mask
             av = (av + (av << s)) & mask
-    return replace(a, value=av), replace(a, value=bv)
+    return PackedTable(av, a.bits, 1, a.cap), PackedTable(bv, a.bits, 1, a.cap)
 
 
 def top(table: PackedTable) -> int:
@@ -338,21 +350,7 @@ def window_sum(pref, lo: int, hi: int) -> int:
     return pref[hi] - (pref[lo - 1] if lo else 0)
 
 
-def criticality_window(quota: int, weight: int) -> tuple[int, int]:
-    """Coalition weights for which a player of ``weight`` is critical."""
-    return max(0, quota - weight), quota - 1
-
-
 # --- enumeration engine -----------------------------------------------------
-
-def _check_limit(game: Game) -> None:
-    limit = DEFAULT_ENUMERATION_LIMIT
-    if game.num_players > limit:
-        raise SizeLimitError(
-            f"{game.num_players} players exceeds the enumeration limit {limit}; "
-            "use the dynamic-programming engine"
-        )
-
 
 def _mask_weights(weights) -> list[int]:
     n = len(weights)
@@ -365,13 +363,17 @@ def _mask_weights(weights) -> list[int]:
 
 def _enumerated_pivots(game: Game) -> list[list[int]]:
     """Entry [i][k]: the size-k coalitions of the other players that player i is critical for."""
-    _check_limit(game)
-    n = game.num_players
+    n, limit = game.num_players, DEFAULT_ENUMERATION_LIMIT
+    if n > limit:
+        raise ResourceLimitError(
+            f"{n} players exceeds the enumeration limit {limit}; use the dynamic-programming engine"
+        )
     ws = _mask_weights(game.weights)
     full = (1 << n) - 1
     out = []
     for i in range(n):
-        lo, hi = criticality_window(game.quota, game.weights[i])
+        # the coalition weights for which player i is critical
+        lo, hi = game.quota - game.weights[i], game.quota - 1
         rest = full ^ (1 << i)
         pivots = [0] * n
         sub = rest
@@ -443,9 +445,9 @@ def index(game: Game, kind: IndexKind | str) -> IndexVector:
     Both engines agree exactly. Enumeration is not the faster one (for
     Shapley-Shubik the DP wins from about 10 players); it stays below the
     limit because its cost does not grow with the weights, so it is the only
-    engine for quotas too large for a counting table. Above the limit each
-    kind builds one counting table for the game and takes every player out
-    of it once (``shapley_dp_vector``, ``banzhaf_counts_dp_vector``).
+    engine for quotas whose table exceeds ``TABLE_BITS_LIMIT``. Above the
+    limit each kind builds one counting table for the game (or raises
+    ``ResourceLimitError``) and takes every player out of it once.
     """
     kind = IndexKind(kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidConfigError, ResourceLimitError
+from .errors import InvalidConfigError
 from .exact import IndexKind, game_table
 from .game import Game
 from .manipulation import Engine, ScanSummary, scan_two_way_splits
@@ -22,8 +22,6 @@ from .montecarlo import McConfig, _as_margin, _as_probability, derive_seed
 
 HISTOGRAM_BINS = 200
 BIN_WIDTH = Fraction(1, HISTOGRAM_BINS)
-# The largest quota the exact engine takes in a study; above it a run is refused.
-DP_QUOTA_CEILING = 100_000
 
 
 @dataclass(frozen=True)
@@ -196,10 +194,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentStats:
         for g in range(config.games_per_cell):
             rng = random.Random(derive_seed("experiment-gen", config.seed, sigma, g))
             game = generate_game(config, rng, sigma)
-            if config.engine is Engine.EXACT and game.quota > DP_QUOTA_CEILING:
-                raise ResourceLimitError(
-                    f"quota {game.quota} exceeds the exact-engine ceiling {DP_QUOTA_CEILING}"
-                )
             mc_config = None
             if config.engine is Engine.MONTE_CARLO:
                 mc_config = McConfig(

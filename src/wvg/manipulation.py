@@ -368,10 +368,9 @@ class SplitReports(Sequence):
         return f"{type(self).__name__}({tuple(self)!r})"
 
 
-def _scan_exact(game: Game, player: int, kind: IndexKind, k: int, candidates, table=None):
+def _scan_exact(game: Game, player: int, kind: IndexKind, k: int, candidates, table):
     """Score and classify every k-part split in ``candidates`` (a list of part
-    tuples) on integers; builds the table if not given."""
-    table = table or game_table(game, kind)
+    tuples) on integers against ``table``, ``game_table(game, kind)``."""
     scores = _shapley_scores if kind is IndexKind.SHAPLEY_SHUBIK else _banzhaf_scores
     return _summary(player, kind, Engine.EXACT, candidates, *scores(game, player, k, candidates, table))
 
@@ -408,6 +407,8 @@ def scan_two_way_splits(
         nums = [after.numerator for _, after in scored]
         dens = [after.denominator for _, after in scored]
         return _summary(player, kind, engine, [p for p, _ in scored], before, nums, dens, margin)
+    # the table first: a game too large for one is refused before any candidate
+    table = table or game_table(game, kind)
     w = game.weights[player]
     # the pairs (j, w - j), j ascending, built without a Python step per pair
     pairs = list(zip(range(1, w // 2 + 1), range(w - 1, (w - 1) // 2, -1)))
@@ -468,8 +469,9 @@ def scan_k_way_splits(
     _check_player(game, player)
     if not 2 <= k <= MAX_KWAY:
         raise InvalidSplitError(f"k must be between 2 and {MAX_KWAY} (got {k})")
+    table = game_table(game, kind)
     w = game.weights[player]
-    return _scan_exact(game, player, kind, k, list(_partitions_into(w, k, w)))
+    return _scan_exact(game, player, kind, k, list(_partitions_into(w, k, w)), table)
 
 
 def find_split_approx(

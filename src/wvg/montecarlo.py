@@ -58,7 +58,13 @@ def sample_size(epsilon, delta) -> int:
     """Samples needed for the (epsilon, delta) guarantee: ceil(ln(2/delta)/(2 eps^2))."""
     eps = _as_probability(epsilon, "epsilon")
     dlt = _as_probability(delta, "delta")
-    t = math.log(2.0 / float(dlt)) / (2.0 * float(eps) ** 2)
+    # A tiny epsilon or delta underflows these floats; refuse it rather than divide by 0.
+    d, e = float(dlt), 2.0 * float(eps) ** 2
+    log_term = math.log(2.0 / d) if d else math.inf
+    t = log_term / e if e else math.inf
+    if math.isinf(t):
+        name = "delta" if math.isinf(log_term) else "epsilon"
+        raise InvalidConfigError(f"{name} is too small: ln(2/delta) / (2 epsilon^2) is not finite")
     # Nudge before the ceiling so exact integers survive float roundoff.
     return max(1, math.ceil(t - abs(t) * 1e-12))
 

@@ -1,7 +1,12 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,7 @@ import wvg.manipulation as manipulation_mod
 import wvg.verify as verify_mod
 from wvg.cli import main
 from wvg.errors import InvalidConfigError
+from wvg.exact import TABLE_BITS_LIMIT
 from wvg.verify import FixtureResult
 
 
@@ -214,6 +220,8 @@ class TestRefusedInputs:
             (("experiment", "--engine", "mc", "--delta", "2"), "delta"),
             (("experiment", "--engine", "mc", "--epsilon", "1/0"), "epsilon"),
             (("experiment", "--engine", "mc", "--delta", "1/0"), "delta"),
+            (("experiment", "--engine", "mc", "--epsilon", "1e-200"), "epsilon"),
+            (("experiment", "--engine", "mc", "--delta", "1e-400"), "delta"),
             (("experiment", "--mu", "1e308"), "weight_mean"),
             (("experiment", "--mu", "1e300", "--sigmas", "1"), "weight_mean"),
             (("experiment", "--sigmas", "5,1e300"), "sigma"),
@@ -259,11 +267,19 @@ class TestRefusedInputs:
             (("scan", "--engine", "mc", "--player", "0", "--delta", "1/0"), "delta"),
             (("find-split", "--player", "0", "--epsilon", "1/0"), "epsilon"),
             (("find-split", "--player", "0", "--delta", "1/0"), "delta"),
+            (("index", "--engine", "mc", "--epsilon", "1e-200"), "epsilon"),
+            (("index", "--engine", "mc", "--epsilon", "1e-160"), "epsilon"),
+            (("index", "--engine", "mc", "--delta", "1e-400"), "delta"),
+            (("scan", "--engine", "mc", "--player", "0", "--epsilon", "1e-200"), "epsilon"),
+            (("scan", "--engine", "mc", "--player", "0", "--delta", "1e-400"), "delta"),
+            (("find-split", "--player", "0", "--epsilon", "1e-160"), "epsilon"),
+            (("find-split", "--player", "0", "--delta", "1e-400"), "delta"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
     )
     def test_zero_denominator_probability_names_it(self, capsys, argv, name):
-        # Fraction("1/0") raises ZeroDivisionError, not ValueError.
+        # Fraction("1/0") raises ZeroDivisionError, not ValueError; so does a float
+        # sample count ln(2/delta) / (2 epsilon^2) whose epsilon or delta underflows.
         code, out, err = run_cli(capsys, *argv, "--game", "6;2,2,2")
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -303,6 +319,62 @@ class TestRefusedInputs:
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "players" in err and len(err) < 100
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# four players near 2 * 10^11 at quota 4 * 10^11: every counting table is terabytes
+HUGE = "400000000000;200000000001,200000000003,200000000005,200000000007"
+HUGE_13 = "1000000000000;" + ",".join(["100000000000"] * 12 + ["100000000001"])
+
+
+def _run_capped(*args):
+    """Run the CLI in a child process limited to 1 GiB of address space, so a
+    table or candidate list built before the size check fails the test
+    instead of filling memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "wvg", *args],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+
+
+class TestTableLimit:
+    """A game whose counting table exceeds ``TABLE_BITS_LIMIT`` is refused before
+    any table or candidate is built; enumeration still answers up to its limit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("merge", "--game", HUGE, "--coalition", "0,1"),
+            ("annex", "--game", HUGE, "--annexer", "0", "--coalition", "1"),
+            ("probe-monotonicity", "--game", HUGE, "--annexer", "0"),
+            ("bounds", "--game", HUGE, "--player", "0", "--parts", "100000000000,100000000001"),
+            ("scan", "--game", HUGE, "--player", "0"),
+            ("scan", "--game", HUGE, "--player", "0", "--k", "3"),
+            ("index", "--game", HUGE_13),
+            ("index", "--game", HUGE_13, "--kind", "banzhaf"),
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a not in ("--game", HUGE, HUGE_13)),
+    )
+    def test_refused_with_one_line_naming_the_limit(self, argv):
+        done = _run_capped(*argv)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+        assert re.search(r"\(\d+ bits\)", done.stderr)
+        assert f"TABLE_BITS_LIMIT = {TABLE_BITS_LIMIT}" in done.stderr
+        assert "out of memory" not in done.stderr
+
+    @pytest.mark.parametrize("kind", ["shapley", "banzhaf"])
+    def test_huge_quota_is_enumerated_up_to_twelve_players(self, capsys, kind):
+        code, out, _ = run_cli(capsys, "index", "--game", HUGE, "--kind", kind)
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert [(v["numerator"], v["denominator"]) for v in values] == [(1, 4)] * 4
 
 
 class TestVerifyCommand:
@@ -375,13 +447,19 @@ class TestDeterminism:
         assert first == second
 
     def test_thread_count_does_not_change_output(self, capsys):
-        base = (
-            "index", "--game", "7;3,2,2,1,1", "--engine", "mc", "--kind", "banzhaf",
-            "--epsilon", "0.03", "--delta", "0.1", "--seed", "5",
-        )
-        _, one, _ = run_cli(capsys, *base, "--threads", "1")
-        _, four, _ = run_cli(capsys, *base, "--threads", "4")
-        assert one == four
+        # the bench's Monte-Carlo replay appends --threads 1 to these commands
+        for argv in (
+            ("scan", "--engine", "mc", "--kind", "banzhaf"),
+            ("scan", "--engine", "mc"),
+            ("find-split",),
+        ):
+            base = (
+                *argv, "--game", "7;3,2,2,1,1", "--player", "0",
+                "--epsilon", "0.1", "--delta", "0.1", "--seed", "5",
+            )
+            code, one, _ = run_cli(capsys, *base, "--threads", "1")
+            assert code == 0 and one
+            assert run_cli(capsys, *base, "--threads", "4") == (0, one, "")
 
     def test_experiment_seeded(self, capsys):
         args = (

@@ -13,7 +13,7 @@ from wvg import (
     CriticalCounts,
     Game,
     IndexKind,
-    SizeLimitError,
+    ResourceLimitError,
     WvgError,
     apply_merge,
     banzhaf_counts_dp_vector,
@@ -23,6 +23,7 @@ from wvg import (
     shapley_dp_vector,
     shapley_enumerate,
 )
+from wvg import exact
 from wvg.exact import (
     bloc_value,
     fraction_to_decimal,
@@ -121,12 +122,37 @@ class TestNormalization:
 class TestEnumerationLimit:
     def test_oversized_game_refused(self):
         game = Game(14, (1,) * 14)
-        with pytest.raises(SizeLimitError, match="dynamic-programming"):
+        with pytest.raises(ResourceLimitError, match="dynamic-programming"):
             shapley_enumerate(game)
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ResourceLimitError):
             banzhaf_counts_enumerate(game)
         # the dispatcher routes it to the DP instead
         assert index(game, SH).values == (Fraction(1, 14),) * 14
+
+
+class TestTableLimit:
+    """Every counting table is checked against ``TABLE_BITS_LIMIT`` where it is allocated."""
+
+    @pytest.mark.parametrize("kind", [SH, BZ])
+    def test_limit_admits_a_table_of_exactly_its_size(self, monkeypatch, kind):
+        game = Game(7, (3, 2, 2, 1, 1))
+        table = game_table(game, kind)
+        first = table if kind is SH else table[0]
+        size = first.cap * first.stride * first.bits
+        monkeypatch.setattr(exact, "TABLE_BITS_LIMIT", size)
+        assert game_table(game, kind) == table
+        monkeypatch.setattr(exact, "TABLE_BITS_LIMIT", size - 1)
+        with pytest.raises(ResourceLimitError) as refused:
+            game_table(game, kind)
+        assert f"({size} bits)" in str(refused.value)
+        assert f"TABLE_BITS_LIMIT = {size - 1}" in str(refused.value)
+
+    def test_huge_quota_past_the_enumeration_limit_is_refused(self):
+        # 13 players of weight 10^11: a table of 10^12 cells, which no memory holds
+        game = Game(10**12, (10**11,) * 12 + (10**11 + 1,))
+        for kind in (SH, BZ):
+            with pytest.raises(ResourceLimitError, match="TABLE_BITS_LIMIT"):
+                index(game, kind)
 
 
 class TestPermutationFormAgreement:

@@ -28,7 +28,8 @@ from wvg import (
     stats_from_json,
 )
 from wvg import manipulation
-from wvg.experiments import DP_QUOTA_CEILING, HISTOGRAM_BINS, histogram_bin, round_half_away
+from wvg.exact import TABLE_BITS_LIMIT
+from wvg.experiments import HISTOGRAM_BINS, histogram_bin, round_half_away
 from wvg.game import apply_split
 
 from _oracles import banzhaf_by_subsets, random_game, shapley_by_subsets
@@ -233,13 +234,23 @@ class TestRunner:
         assert run_experiment(config) == stats
 
     def test_quota_ceiling(self):
-        # five players of mean weight half the ceiling, quota their total weight
+        # five players of mean weight 2^40, quota their total weight: no table holds it
         config = ExperimentConfig(
-            weight_mean=DP_QUOTA_CEILING / 2, weight_sigma_set=(5.0,), player_range=(5, 5),
+            weight_mean=2.0**40, weight_sigma_set=(5.0,), player_range=(5, 5),
             games_per_cell=1, unanimity_quota=True, seed=1,
         )
-        with pytest.raises(ResourceLimitError, match=f"ceiling {DP_QUOTA_CEILING}"):
+        with pytest.raises(ResourceLimitError, match=f"TABLE_BITS_LIMIT = {TABLE_BITS_LIMIT}"):
             run_experiment(config)
+
+    def test_quota_whose_table_fits_runs(self):
+        # quota 299,995: refused by the study's old quota ceiling of 100,000, yet
+        # its table is 299,995 * 6 slots of 8 bits, far below the bit limit
+        config = ExperimentConfig(
+            weight_mean=60000.0, weight_sigma_set=(5.0,), player_range=(5, 5),
+            games_per_cell=1, unanimity_quota=True,
+        )
+        stats = run_experiment(config)
+        assert stats.games_total == 1
 
     def test_faithful_preset_shape(self):
         config = ExperimentConfig.faithful(seed=3, kind=BZ)

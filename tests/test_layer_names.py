@@ -1,11 +1,15 @@
 """The benchmark's tracer looks up wvg functions by name; keep those names."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import wvg
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -26,6 +30,22 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"wvg.{m}"), f, None))
     ]
     assert missing == []
+
+
+def test_every_name_the_bench_imports_from_wvg_exists():
+    """checks.py, worker.py and workloads.py import names from ``wvg`` at
+    start-up; a missing one would fail every bench run."""
+    imported = []
+    for name in ("checks.py", "worker.py", "workloads.py"):
+        tree = ast.parse((PERFBENCH / name).read_text(), filename=name)
+        imported += [
+            (name, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "wvg"
+            for alias in node.names
+        ]
+    assert {name for name, _ in imported} == {"checks.py", "worker.py", "workloads.py"}
+    assert [(name, n) for name, n in imported if not hasattr(wvg, n)] == []
 
 
 def test_samplers_accept_a_worker_count_and_ignore_it():

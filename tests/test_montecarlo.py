@@ -39,6 +39,19 @@ class TestSampleSize:
         with pytest.raises(InvalidConfigError):
             McConfig(Fraction(3, 2), Fraction(1, 2))
 
+    @pytest.mark.parametrize(
+        "epsilon, delta, name",
+        [
+            ("1e-200", "0.01", "epsilon"),  # epsilon^2 underflows to 0
+            ("1e-160", "0.01", "epsilon"),  # the count overflows to inf
+            ("0.1", "1e-400", "delta"),  # delta underflows to 0
+            ("0.1", "5e-324", "delta"),  # 2 / delta overflows to inf
+        ],
+    )
+    def test_rejects_a_count_that_is_not_a_finite_float(self, epsilon, delta, name):
+        with pytest.raises(InvalidConfigError, match=f"^{name} is too small"):
+            sample_size(epsilon, delta)
+
     def test_config_samples(self):
         cfg = McConfig("0.01", "0.01", seed=5)
         assert cfg.samples() == 26_492
@@ -52,16 +65,6 @@ class TestDeterminism:
         a = shapley_mc(game, 0, cfg)
         b = shapley_mc(game, 0, cfg)
         assert a == b
-
-    def test_worker_count_does_not_change_results(self):
-        game = Game(7, (3, 2, 2, 1, 1))
-        cfg = McConfig("0.01", "0.01", seed=9, sample_count_override=10_000)
-        single = shapley_mc(game, 0, cfg, workers=1)
-        pooled = shapley_mc(game, 0, cfg, workers=4)
-        assert single == pooled
-        raw1 = banzhaf_raw_mc(game, 2, cfg, workers=1)
-        raw4 = banzhaf_raw_mc(game, 2, cfg, workers=3)
-        assert raw1 == raw4
 
     def test_different_seeds_differ(self):
         game = Game(7, (3, 2, 2, 1, 1))
