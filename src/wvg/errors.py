@@ -31,7 +31,8 @@ class DegenerateNormalizationError(WvgError):
 
 class ResourceLimitError(WvgError):
     """Exact work too large to run: a counting table over ``exact.TABLE_BITS_LIMIT``
-    bits, or enumeration above ``exact.DEFAULT_ENUMERATION_LIMIT`` players."""
+    bits, enumeration above ``exact.DEFAULT_ENUMERATION_LIMIT`` players, or a
+    split scan over ``manipulation.CANDIDATE_LIMIT`` candidates."""
 
 
 class BoundViolationError(WvgError):

@@ -1,10 +1,8 @@
-"""Exact power indices: subset enumeration for small games, counting DP beyond.
+"""Exact power indices from one counting table per game, as exact rationals.
 
-Both engines return exact rationals and must agree bit for bit. All counting
-uses unbounded Python integers; criticality counts reach 2**n, so no fixed
-width is assumed: a counting table's slot width grows with its player count.
-
-The DP builds one counting table per game (``game_table``): cell x counts
+All counting uses unbounded Python integers; criticality counts reach 2**n,
+so no fixed width is assumed: a table's slot width grows with its player count.
+The engine builds one counting table per game (``game_table``): cell x counts
 the coalitions of all players (per size, for Shapley-Shubik) with weight at
 most x, for x below the quota q. The table is one int, each cell a slot of
 it (``PackedTable``), so building it, and taking a player back out, are a few
@@ -15,9 +13,9 @@ over the other players. Criticality of a player with weight w only asks
 whether a coalition weight lies in the window [q - w, q - 1], so its count is
 two reads (``window_count``) and memory stays O(q) slots per size class.
 
-A table over ``TABLE_BITS_LIMIT`` bits raises ``ResourceLimitError``; for such
-quotas enumeration, whose cost does not grow with the weights, is the only
-engine, up to ``DEFAULT_ENUMERATION_LIMIT`` players.
+The table answers every game it fits. Only a game whose table exceeds
+``TABLE_BITS_LIMIT`` bits is enumerated, up to ``DEFAULT_ENUMERATION_LIMIT``
+players, as enumeration's cost does not grow with the weights.
 """
 
 from __future__ import annotations
@@ -433,25 +431,26 @@ def normalize_banzhaf(counts: CriticalCounts) -> IndexVector:
 
 # --- dispatcher --------------------------------------------------------------
 
+def _counted(table_engine, enumeration, game: Game):
+    """The table's answer; enumeration's if the table is refused and it is not."""
+    try:
+        return table_engine(game)
+    except ResourceLimitError as refused:
+        try:
+            return enumeration(game)
+        except ResourceLimitError:
+            raise refused from None
+
+
 def critical_counts(game: Game) -> CriticalCounts:
-    if game.num_players <= DEFAULT_ENUMERATION_LIMIT:
-        return banzhaf_counts_enumerate(game)
-    return banzhaf_counts_dp_vector(game)
+    """Every player's critical-coalition count; engines as for ``index``."""
+    return _counted(banzhaf_counts_dp_vector, banzhaf_counts_enumerate, game)
 
 
 def index(game: Game, kind: IndexKind | str) -> IndexVector:
-    """Exact index of every player; enumeration up to the limit, DP above it.
-
-    Both engines agree exactly. Enumeration is not the faster one (for
-    Shapley-Shubik the DP wins from about 10 players); it stays below the
-    limit because its cost does not grow with the weights, so it is the only
-    engine for quotas whose table exceeds ``TABLE_BITS_LIMIT``. Above the
-    limit each kind builds one counting table for the game (or raises
-    ``ResourceLimitError``) and takes every player out of it once.
-    """
+    """Exact index of every player, read from the game's counting table; enumerated
+    only when that table is refused, up to ``DEFAULT_ENUMERATION_LIMIT`` players."""
     kind = IndexKind(kind)
     if kind is IndexKind.SHAPLEY_SHUBIK:
-        if game.num_players <= DEFAULT_ENUMERATION_LIMIT:
-            return shapley_enumerate(game)
-        return shapley_dp_vector(game)
+        return _counted(shapley_dp_vector, shapley_enumerate, game)
     return normalize_banzhaf(critical_counts(game))

@@ -26,9 +26,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from operator import add, eq, gt, lt, mul, sub, truediv
 
-from .errors import BoundViolationError, InvalidMergeError, InvalidSplitError
+from .errors import BoundViolationError, InvalidMergeError, InvalidSplitError, ResourceLimitError
 from .exact import (
     IndexKind,
     bloc_value,
@@ -41,6 +42,9 @@ from .exact import (
 )
 from .game import Game, SplitSpec, apply_split, validate_coalition
 from .montecarlo import McConfig, _as_margin, banzhaf_mc, derive_seed, shapley_mc
+
+# The most candidates one split scan may hold; an exact candidate costs about 0.5 KB.
+CANDIDATE_LIMIT = 1 << 20
 
 
 class Engine(str, Enum):
@@ -152,6 +156,17 @@ def _check_player(game: Game, player: int) -> None:
     if not 0 <= player < game.num_players:
         raise InvalidSplitError(
             f"player {player} out of range for a {game.num_players}-player game"
+        )
+
+
+def _check_candidates(w: int, k: int, count: int, known: bool = True) -> None:
+    """Refuse a scan of ``count`` k-part splits of a weight-``w`` player above
+    ``CANDIDATE_LIMIT``; ``known=False`` when only ``count`` were built."""
+    if count > CANDIDATE_LIMIT:
+        raise ResourceLimitError(
+            f"splitting a weight-{w} player into {k} parts gives "
+            f"{count if known else f'more than {CANDIDATE_LIMIT}'} candidates, "
+            f"above CANDIDATE_LIMIT = {CANDIDATE_LIMIT}"
         )
 
 
@@ -394,12 +409,15 @@ def scan_two_way_splits(
     each report only when it is read. ``table``, if given, must be
     ``game_table(game, kind)``; scanning several players of one game with it
     builds the table once instead of once per player. The results are
-    identical either way.
+    identical either way. More than ``CANDIDATE_LIMIT`` candidates raise
+    ``ResourceLimitError``, after the exact table and before any sample.
     """
     kind = IndexKind(kind)
     engine = Engine(engine)
     _check_player(game, player)
+    w = game.weights[player]
     if engine is Engine.MONTE_CARLO:
+        _check_candidates(w, 2, w // 2)
         config = mc_config or McConfig(Fraction(1, 100), Fraction(1, 100))
         margin = _as_margin(2 * config.epsilon if margin is None else margin)
         totals = _mc_after_totals(game, player, kind, config, "baseline", "split")
@@ -409,7 +427,7 @@ def scan_two_way_splits(
         return _summary(player, kind, engine, [p for p, _ in scored], before, nums, dens, margin)
     # the table first: a game too large for one is refused before any candidate
     table = table or game_table(game, kind)
-    w = game.weights[player]
+    _check_candidates(w, 2, w // 2)
     # the pairs (j, w - j), j ascending, built without a Python step per pair
     pairs = list(zip(range(1, w // 2 + 1), range(w - 1, (w - 1) // 2, -1)))
     return _scan_exact(game, player, kind, 2, pairs, table)
@@ -463,7 +481,9 @@ def scan_k_way_splits(
 
     Identities are interchangeable, so multiset partitions cover every
     distinct outcome. One counting table scores every partition on the exact
-    two-way scan's engine, with no split game built.
+    two-way scan's engine, with no split game built. More than
+    ``CANDIDATE_LIMIT`` partitions raise ``ResourceLimitError``, after the
+    table and with at most one partition past the limit built.
     """
     kind = IndexKind(kind)
     _check_player(game, player)
@@ -471,7 +491,9 @@ def scan_k_way_splits(
         raise InvalidSplitError(f"k must be between 2 and {MAX_KWAY} (got {k})")
     table = game_table(game, kind)
     w = game.weights[player]
-    return _scan_exact(game, player, kind, k, list(_partitions_into(w, k, w)), table)
+    partitions = list(islice(_partitions_into(w, k, w), CANDIDATE_LIMIT + 1))
+    _check_candidates(w, k, len(partitions), known=False)
+    return _scan_exact(game, player, kind, k, partitions, table)
 
 
 def find_split_approx(
@@ -594,8 +616,9 @@ def check_split_bounds(game: Game, player: int, spec: SplitSpec) -> BoundReport:
     count; and a zero payoff stays zero. Any failure raises
     BoundViolationError, which indicates a bug, never an expected outcome.
     The Shapley values come from the game's one counting table, as in a split
-    scan; the Banzhaf counts are counted again on the split game, so the
-    count identity checks the table engine against an independent count.
+    scan. The Banzhaf counts come from two count vectors built separately, one
+    for the game and one for the split game, neither of them the scans'
+    (A, B) pair, so the count identity compares two independent table builds.
     """
     _check_player(game, player)
     if spec.player != player or len(spec.parts) != 2:

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,10 @@ import wvg.verify as verify_mod
 from wvg.cli import main
 from wvg.errors import InvalidConfigError
 from wvg.exact import TABLE_BITS_LIMIT
+from wvg.manipulation import CANDIDATE_LIMIT
 from wvg.verify import FixtureResult
+
+from _engines import refuse_enumeration, route_to_enumeration
 
 
 def run_cli(capsys, *args):
@@ -375,6 +379,52 @@ class TestTableLimit:
         assert code == 0
         values = json.loads(out)["values"]
         assert [(v["numerator"], v["denominator"]) for v in values] == [(1, 4)] * 4
+
+
+class TestCandidateLimit:
+    """A split scan over ``CANDIDATE_LIMIT`` candidates is refused after its
+    table is built and before its candidates are, whatever the engine."""
+
+    @pytest.mark.parametrize("extra", [("--k", "2"), ("--k", "3"), ("--engine", "mc")])
+    def test_refused_with_one_line_naming_the_limit(self, extra):
+        start = time.perf_counter()
+        done = _run_capped("scan", "--game", "5;1000000000,3", "--player", "0", *extra)
+        assert time.perf_counter() - start < 5
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+        assert "weight-1000000000" in done.stderr
+        assert f"CANDIDATE_LIMIT = {CANDIDATE_LIMIT}" in done.stderr
+        assert "out of memory" not in done.stderr
+
+
+TWELVE = "1100;141,143,233,85,193,87,255,210,268,175,220,186"
+
+
+class TestOneEngine:
+    """With enumeration refused, the exact answers on games of 1-12 players
+    are byte for byte those of enumeration."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("index", "--game", "3;5"),
+            ("index", "--game", "5;2,1,1,1,1", "--kind", "banzhaf"),
+            ("index", "--game", TWELVE, "--format", "text"),
+            ("index", "--game", TWELVE, "--kind", "banzhaf"),
+            ("bounds", "--game", "10;2,2,2,2,2", "--player", "4", "--parts", "1,1"),
+            ("bounds", "--game", TWELVE, "--player", "8", "--parts", "100,168"),
+            ("verify", "--suite", "fixtures"),
+            ("verify", "--suite", "bounds", "--trials", "40", "--seed", "7"),
+        ],
+        ids=" ".join,
+    )
+    def test_table_answers_as_enumeration_did(self, capsys, monkeypatch, argv):
+        with pytest.MonkeyPatch.context() as mp:
+            route_to_enumeration(mp)
+            enumerated = run_cli(capsys, *argv)
+        assert enumerated[0] == 0 and "FAIL" not in enumerated[1]
+        refuse_enumeration(monkeypatch)
+        assert run_cli(capsys, *argv) == enumerated
 
 
 class TestVerifyCommand:

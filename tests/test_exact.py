@@ -14,10 +14,14 @@ from wvg import (
     Game,
     IndexKind,
     ResourceLimitError,
+    SplitSpec,
     WvgError,
     apply_merge,
     banzhaf_counts_dp_vector,
     banzhaf_counts_enumerate,
+    check_split_bounds,
+    critical_counts,
+    high_quota_split_recommendation,
     index,
     normalize_banzhaf,
     shapley_dp_vector,
@@ -36,6 +40,7 @@ from wvg.exact import (
     without,
 )
 
+from _engines import refuse_enumeration, route_to_enumeration
 from _oracles import (
     banzhaf_by_subsets,
     banzhaf_counts_by_subsets,
@@ -126,8 +131,92 @@ class TestEnumerationLimit:
             shapley_enumerate(game)
         with pytest.raises(ResourceLimitError):
             banzhaf_counts_enumerate(game)
-        # the dispatcher routes it to the DP instead
+        # index reads the game's counting table, as for every game the table fits
         assert index(game, SH).values == (Fraction(1, 14),) * 14
+
+
+@st.composite
+def games_up_to_the_limit(draw):
+    """1-12 players of weight 1..30 (quota 1, the largest weight, the total or
+    random), one player and, for weight 2 or more, a two-way split of it."""
+    weights = draw(st.lists(st.integers(1, 30), min_size=1, max_size=DEFAULT_ENUMERATION_LIMIT))
+    quota = draw(st.sampled_from((1, max(weights), sum(weights))) | st.integers(1, sum(weights)))
+    player = draw(st.integers(0, len(weights) - 1))
+    w = weights[player]
+    spec = SplitSpec(player, (j := draw(st.integers(1, w // 2)), w - j)) if w >= 2 else None
+    return Game(quota, tuple(weights)), player, spec
+
+
+def _table_sizes(game):
+    """Bits of the tables ``index`` builds: the size table, then the count vector."""
+    builds = (subset_size_weight_counts, subset_weight_counts)
+    tables = [build(game.weights, game.quota) for build in builds]
+    return [t.cap * t.stride * t.bits for t in tables]
+
+
+class TestOneEngine:
+    """``index`` and ``critical_counts`` read the game's counting table; only a
+    game whose table is refused is enumerated, up to the enumeration limit."""
+
+    @staticmethod
+    def answers(game, player, spec):
+        return (
+            index(game, SH),
+            index(game, BZ),
+            critical_counts(game),
+            spec and check_split_bounds(game, player, spec),
+            high_quota_split_recommendation(game, player),
+        )
+
+    @given(games_up_to_the_limit())
+    @settings(max_examples=60, deadline=None)
+    @example((Game(18, (5, 5, 5, 5, 4)), 4, SplitSpec(4, (2, 2))))  # a recommended split
+    @example((Game(3, (5,)), 0, SplitSpec(0, (2, 3))))
+    def test_no_game_up_to_the_limit_is_enumerated(self, case):
+        with pytest.MonkeyPatch.context() as mp:
+            route_to_enumeration(mp)
+            enumerated = self.answers(*case)
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_enumeration(mp)
+            assert self.answers(*case) == enumerated
+        game = case[0]
+        assert list(enumerated[0].values) == shapley_by_subsets(game)
+        assert list(enumerated[2].counts) == banzhaf_counts_by_subsets(game)
+
+    def test_a_recommended_split_reads_the_count(self):
+        assert high_quota_split_recommendation(Game(18, (5, 5, 5, 5, 4)), 4) == SplitSpec(4, (2, 2))
+
+    @given(games_up_to_the_limit())
+    @settings(max_examples=40, deadline=None)
+    def test_a_refused_table_is_enumerated(self, case):
+        game = case[0]
+        expected = [index(game, SH), critical_counts(game), index(game, BZ)]
+        sh_bits, bz_bits = _table_sizes(game)
+        enumerated, pivots = [], exact._enumerated_pivots
+
+        def counted(g):
+            enumerated.append(g)
+            return pivots(g)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_enumerated_pivots", counted)
+            mp.setattr(exact, "TABLE_BITS_LIMIT", sh_bits - 1)
+            got = [index(game, SH)]
+            mp.setattr(exact, "TABLE_BITS_LIMIT", bz_bits - 1)
+            got += [critical_counts(game), index(game, BZ)]
+        assert got == expected
+        assert enumerated == [game] * 3
+
+    def test_a_refused_table_past_the_limit_stands(self, monkeypatch):
+        game = Game(20, (3,) * 12 + (4,))
+        assert game.num_players == DEFAULT_ENUMERATION_LIMIT + 1
+        sh_bits, bz_bits = _table_sizes(game)
+        for bits, reads in ((sh_bits, [lambda: index(game, SH)]),
+                            (bz_bits, [lambda: critical_counts(game), lambda: index(game, BZ)])):
+            monkeypatch.setattr(exact, "TABLE_BITS_LIMIT", bits - 1)
+            for read in reads:
+                with pytest.raises(ResourceLimitError, match=f"TABLE_BITS_LIMIT = {bits - 1}"):
+                    read()
 
 
 class TestTableLimit:

@@ -20,6 +20,7 @@ from wvg import (
     InvalidMergeError,
     InvalidSplitError,
     McConfig,
+    ResourceLimitError,
     SplitSpec,
     annex_benefit,
     annex_monotonicity_probe,
@@ -823,6 +824,67 @@ class TestMonteCarloScan:
             Game(7, (3, 3, 2, 2)), 0, BZ, engine=Engine.MONTE_CARLO, mc_config=cfg, margin=0
         )
         assert summary.reports[0].margin == 0
+
+
+class TestCandidateLimit:
+    """A scan of more than ``CANDIDATE_LIMIT`` candidates is refused, and one
+    of exactly that many is not."""
+
+    GAME = Game(7, (9, 3, 2))  # player 0: 4 two-way and 7 three-way candidates
+
+    @pytest.mark.parametrize("kind", [SH, BZ])
+    @pytest.mark.parametrize("engine", [Engine.EXACT, Engine.MONTE_CARLO])
+    def test_two_way_limit_admits_exactly_its_count(self, monkeypatch, kind, engine):
+        cfg = McConfig("0.05", "0.05", sample_count_override=10)
+
+        def scan():
+            return scan_two_way_splits(self.GAME, 0, kind, engine, cfg)
+
+        def sampled(*args):
+            raise AssertionError("a refused scan drew samples")
+
+        summary = scan()
+        assert summary.total_splits == 4
+        monkeypatch.setattr(manipulation, "CANDIDATE_LIMIT", 4)
+        assert scan() == summary
+        monkeypatch.setattr(manipulation, "CANDIDATE_LIMIT", 3)
+        for sampler in ("shapley_mc", "banzhaf_mc"):
+            monkeypatch.setattr(manipulation, sampler, sampled)
+        with pytest.raises(ResourceLimitError) as refused:
+            scan()
+        assert "weight-9 player into 2 parts gives 4 candidates" in str(refused.value)
+        assert "CANDIDATE_LIMIT = 3" in str(refused.value)
+
+    @pytest.mark.parametrize("kind", [SH, BZ])
+    def test_k_way_limit_builds_at_most_one_more(self, monkeypatch, kind):
+        summary = scan_k_way_splits(self.GAME, 0, 3, kind)
+        assert summary.total_splits == 7
+        drawn, partitions = [], manipulation._partitions_into
+
+        def counted(total, k, max_part):
+            for parts in partitions(total, k, max_part):
+                if k == 3:  # the scan's own partitions, not the recursion's
+                    drawn.append(parts)
+                yield parts
+
+        monkeypatch.setattr(manipulation, "_partitions_into", counted)
+        monkeypatch.setattr(manipulation, "CANDIDATE_LIMIT", 7)
+        assert scan_k_way_splits(self.GAME, 0, 3, kind) == summary
+        monkeypatch.setattr(manipulation, "CANDIDATE_LIMIT", 6)
+        drawn.clear()
+        with pytest.raises(ResourceLimitError) as refused:
+            scan_k_way_splits(self.GAME, 0, 3, kind)
+        assert len(drawn) == 7
+        assert "weight-9 player into 3 parts gives more than 6 candidates" in str(refused.value)
+        assert "CANDIDATE_LIMIT = 6" in str(refused.value)
+
+    def test_heavy_player_over_a_small_table(self, monkeypatch):
+        monkeypatch.setattr(manipulation, "CANDIDATE_LIMIT", 1000)
+        game = Game(5, (10**9, 3))
+        with pytest.raises(ResourceLimitError, match="gives 500000000 candidates"):
+            scan_two_way_splits(game, 0, SH)
+        with pytest.raises(ResourceLimitError, match="more than"):
+            scan_k_way_splits(game, 0, 2, BZ)
 
 
 class TestScanInvariance:
