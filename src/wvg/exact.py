@@ -1,8 +1,10 @@
-"""Exact power indices from one counting table per game, as exact rationals.
+"""Exact power indices: counting DP, or subset enumeration where it costs less.
 
-All counting uses unbounded Python integers; criticality counts reach 2**n,
-so no fixed width is assumed: a table's slot width grows with its player count.
-The engine builds one counting table per game (``game_table``): cell x counts
+Both engines return exact rationals and must agree bit for bit. All counting
+uses unbounded Python integers; criticality counts reach 2**n, so no fixed
+width is assumed: a counting table's slot width grows with its player count.
+
+The DP builds one counting table per game (``game_table``): cell x counts
 the coalitions of all players (per size, for Shapley-Shubik) with weight at
 most x, for x below the quota q. The table is one int, each cell a slot of
 it (``PackedTable``), so building it, and taking a player back out, are a few
@@ -13,9 +15,12 @@ over the other players. Criticality of a player with weight w only asks
 whether a coalition weight lies in the window [q - w, q - 1], so its count is
 two reads (``window_count``) and memory stays O(q) slots per size class.
 
-The table answers every game it fits. Only a game whose table exceeds
-``TABLE_BITS_LIMIT`` bits is enumerated, up to ``DEFAULT_ENUMERATION_LIMIT``
-players, as enumeration's cost does not grow with the weights.
+Enumeration costs n 2^n steps whatever the weights, the DP about n passes
+over its table's bits. So a game of up to ``DEFAULT_ENUMERATION_LIMIT``
+players whose table holds over ``TABLE_BITS_PER_COALITION`` bits per
+coalition is enumerated, and every other game counted on its table. A table
+over ``TABLE_BITS_LIMIT`` bits raises ``ResourceLimitError``; up to
+``DEFAULT_ENUMERATION_LIMIT`` players every such table is over that cost.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ from .game import Game
 DEFAULT_ENUMERATION_LIMIT = 12
 # The most bits (cap * stride * slot bits) any one counting table may hold: 16 MiB.
 TABLE_BITS_LIMIT = 1 << 27
+# Above this many table bits per coalition of its players, enumerating a game
+# is faster than its table (measured on 2-12 players of weight 3 to 3 * 10^5).
+TABLE_BITS_PER_COALITION = 64
 
 
 class IndexKind(str, Enum):
@@ -431,26 +439,25 @@ def normalize_banzhaf(counts: CriticalCounts) -> IndexVector:
 
 # --- dispatcher --------------------------------------------------------------
 
-def _counted(table_engine, enumeration, game: Game):
-    """The table's answer; enumeration's if the table is refused and it is not."""
-    try:
-        return table_engine(game)
-    except ResourceLimitError as refused:
-        try:
-            return enumeration(game)
-        except ResourceLimitError:
-            raise refused from None
+def _enumerates(game: Game, stride: int, largest: int) -> bool:
+    """Whether ``game`` is enumerated rather than counted on its table of
+    quota * ``stride`` slots holding counts up to ``largest``."""
+    n, bits = game.num_players, game.quota * stride * _slot_bits(largest)
+    return n <= DEFAULT_ENUMERATION_LIMIT and bits >> n > TABLE_BITS_PER_COALITION
 
 
 def critical_counts(game: Game) -> CriticalCounts:
     """Every player's critical-coalition count; engines as for ``index``."""
-    return _counted(banzhaf_counts_dp_vector, banzhaf_counts_enumerate, game)
+    if _enumerates(game, 1, 1 << game.num_players):  # ``subset_weight_counts``
+        return banzhaf_counts_enumerate(game)
+    return banzhaf_counts_dp_vector(game)
 
 
 def index(game: Game, kind: IndexKind | str) -> IndexVector:
-    """Exact index of every player, read from the game's counting table; enumerated
-    only when that table is refused, up to ``DEFAULT_ENUMERATION_LIMIT`` players."""
-    kind = IndexKind(kind)
-    if kind is IndexKind.SHAPLEY_SHUBIK:
-        return _counted(shapley_dp_vector, shapley_enumerate, game)
-    return normalize_banzhaf(critical_counts(game))
+    """Exact index of every player: from the game's table, or enumerated (``_enumerates``)."""
+    if IndexKind(kind) is IndexKind.BANZHAF:
+        return normalize_banzhaf(critical_counts(game))
+    n = game.num_players
+    if _enumerates(game, n + 1, comb(n, n // 2)):  # ``subset_size_weight_counts``
+        return shapley_enumerate(game)
+    return shapley_dp_vector(game)

@@ -159,14 +159,13 @@ def _check_player(game: Game, player: int) -> None:
         )
 
 
-def _check_candidates(w: int, k: int, count: int, known: bool = True) -> None:
-    """Refuse a scan of ``count`` k-part splits of a weight-``w`` player above
-    ``CANDIDATE_LIMIT``; ``known=False`` when only ``count`` were built."""
+def _check_candidates(w: int, k: int, count: int) -> None:
+    """Refuse a scan of at least ``count`` k-part splits of a weight-``w``
+    player above ``CANDIDATE_LIMIT``."""
     if count > CANDIDATE_LIMIT:
         raise ResourceLimitError(
-            f"splitting a weight-{w} player into {k} parts gives "
-            f"{count if known else f'more than {CANDIDATE_LIMIT}'} candidates, "
-            f"above CANDIDATE_LIMIT = {CANDIDATE_LIMIT}"
+            f"splitting a weight-{w} player into {k} parts gives at least {count} "
+            f"candidates, above CANDIDATE_LIMIT = {CANDIDATE_LIMIT}"
         )
 
 
@@ -492,7 +491,7 @@ def scan_k_way_splits(
     table = game_table(game, kind)
     w = game.weights[player]
     partitions = list(islice(_partitions_into(w, k, w), CANDIDATE_LIMIT + 1))
-    _check_candidates(w, k, len(partitions), known=False)
+    _check_candidates(w, k, len(partitions))
     return _scan_exact(game, player, kind, k, partitions, table)
 
 
@@ -616,9 +615,11 @@ def check_split_bounds(game: Game, player: int, spec: SplitSpec) -> BoundReport:
     count; and a zero payoff stays zero. Any failure raises
     BoundViolationError, which indicates a bug, never an expected outcome.
     The Shapley values come from the game's one counting table, as in a split
-    scan. The Banzhaf counts come from two count vectors built separately, one
-    for the game and one for the split game, neither of them the scans'
-    (A, B) pair, so the count identity compares two independent table builds.
+    scan. The Banzhaf counts come from ``critical_counts`` of the game and of
+    the split game, counted separately and neither of them from the scans'
+    (A, B) pair, but on one engine for most games, so the identity does not
+    check one engine against another: the ``oracle`` suite of ``wvg verify``
+    and tests such as ``test_dp_equals_enumeration`` do that.
     """
     _check_player(game, player)
     if spec.player != player or len(spec.parts) != 2:

@@ -1,6 +1,7 @@
 """Engine routes for tests that compare the counting-table engine with
-enumeration: the engine choice as it was before the table answered every
-game, and enumeration refused outright."""
+enumeration: every game of up to the enumeration limit enumerated, as before
+the table answered any of them, or every game read from its table with
+enumeration refused outright."""
 
 from wvg import exact
 
@@ -22,9 +23,11 @@ def route_to_enumeration(mp) -> None:
 
 
 def refuse_enumeration(mp) -> None:
-    """Make any enumeration fail the test, through ``mp``."""
+    """Read every game whose table fits from its table, and make any
+    enumeration fail the test, through ``mp``."""
 
     def refused(game):
         raise AssertionError(f"{game} was enumerated")
 
+    mp.setattr(exact, "TABLE_BITS_PER_COALITION", exact.TABLE_BITS_LIMIT)
     mp.setattr(exact, "_enumerated_pivots", refused)

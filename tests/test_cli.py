@@ -400,9 +400,9 @@ class TestCandidateLimit:
 TWELVE = "1100;141,143,233,85,193,87,255,210,268,175,220,186"
 
 
-class TestOneEngine:
-    """With enumeration refused, the exact answers on games of 1-12 players
-    are byte for byte those of enumeration."""
+class TestTableEngine:
+    """With every game read from its table and enumeration refused, the exact
+    answers on games of 1-12 players are byte for byte those of enumeration."""
 
     @pytest.mark.parametrize(
         "argv",

@@ -131,7 +131,7 @@ class TestEnumerationLimit:
             shapley_enumerate(game)
         with pytest.raises(ResourceLimitError):
             banzhaf_counts_enumerate(game)
-        # index reads the game's counting table, as for every game the table fits
+        # past the enumeration limit, index reads the game's counting table
         assert index(game, SH).values == (Fraction(1, 14),) * 14
 
 
@@ -154,9 +154,10 @@ def _table_sizes(game):
     return [t.cap * t.stride * t.bits for t in tables]
 
 
-class TestOneEngine:
-    """``index`` and ``critical_counts`` read the game's counting table; only a
-    game whose table is refused is enumerated, up to the enumeration limit."""
+class TestEngineChoice:
+    """``index`` and ``critical_counts`` read the game's counting table, except
+    for a game of up to the enumeration limit whose table holds more than
+    ``TABLE_BITS_PER_COALITION`` bits per coalition: that game is enumerated."""
 
     @staticmethod
     def answers(game, player, spec):
@@ -172,10 +173,11 @@ class TestOneEngine:
     @settings(max_examples=60, deadline=None)
     @example((Game(18, (5, 5, 5, 5, 4)), 4, SplitSpec(4, (2, 2))))  # a recommended split
     @example((Game(3, (5,)), 0, SplitSpec(0, (2, 3))))
-    def test_no_game_up_to_the_limit_is_enumerated(self, case):
+    def test_table_and_enumeration_answer_alike(self, case):
         with pytest.MonkeyPatch.context() as mp:
             route_to_enumeration(mp)
             enumerated = self.answers(*case)
+        assert self.answers(*case) == enumerated
         with pytest.MonkeyPatch.context() as mp:
             refuse_enumeration(mp)
             assert self.answers(*case) == enumerated
@@ -188,24 +190,43 @@ class TestOneEngine:
 
     @given(games_up_to_the_limit())
     @settings(max_examples=40, deadline=None)
-    def test_a_refused_table_is_enumerated(self, case):
+    def test_enumerated_above_the_bits_per_coalition(self, case):
         game = case[0]
+        n = game.num_players
         expected = [index(game, SH), critical_counts(game), index(game, BZ)]
-        sh_bits, bz_bits = _table_sizes(game)
         enumerated, pivots = [], exact._enumerated_pivots
 
         def counted(g):
             enumerated.append(g)
             return pivots(g)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_enumerated_pivots", counted)
-            mp.setattr(exact, "TABLE_BITS_LIMIT", sh_bits - 1)
-            got = [index(game, SH)]
-            mp.setattr(exact, "TABLE_BITS_LIMIT", bz_bits - 1)
-            got += [critical_counts(game), index(game, BZ)]
-        assert got == expected
+        def reads(sh_per_coalition, bz_per_coalition):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(exact, "_enumerated_pivots", counted)
+                mp.setattr(exact, "TABLE_BITS_PER_COALITION", sh_per_coalition)
+                got = [index(game, SH)]
+                mp.setattr(exact, "TABLE_BITS_PER_COALITION", bz_per_coalition)
+                return got + [critical_counts(game), index(game, BZ)]
+
+        sh_bits, bz_bits = _table_sizes(game)
+        assert reads(sh_bits >> n, bz_bits >> n) == expected
+        assert enumerated == []
+        assert reads((sh_bits >> n) - 1, (bz_bits >> n) - 1) == expected
         assert enumerated == [game] * 3
+
+    def test_large_weights_are_enumerated(self, monkeypatch):
+        """Five players whose tables fit but hold over 10^6 bits per coalition:
+        enumeration is far cheaper than the table."""
+        game = Game(2_000_000, (1_000_000, 900_000, 800_000, 700_000, 600_000))
+        expected = [shapley_by_subsets(game), banzhaf_counts_by_subsets(game)]
+        assert max(_table_sizes(game)) <= exact.TABLE_BITS_LIMIT
+        monkeypatch.setattr(exact, "shapley_dp_vector", None)
+        monkeypatch.setattr(exact, "banzhaf_counts_dp_vector", None)
+        assert [list(index(game, SH).values), list(critical_counts(game).counts)] == expected
+
+    def test_every_refused_table_up_to_the_limit_is_enumerated(self):
+        refused = exact.TABLE_BITS_LIMIT + 1
+        assert refused >> DEFAULT_ENUMERATION_LIMIT > exact.TABLE_BITS_PER_COALITION
 
     def test_a_refused_table_past_the_limit_stands(self, monkeypatch):
         game = Game(20, (3,) * 12 + (4,))

@@ -852,7 +852,7 @@ class TestCandidateLimit:
             monkeypatch.setattr(manipulation, sampler, sampled)
         with pytest.raises(ResourceLimitError) as refused:
             scan()
-        assert "weight-9 player into 2 parts gives 4 candidates" in str(refused.value)
+        assert "weight-9 player into 2 parts gives at least 4 candidates" in str(refused.value)
         assert "CANDIDATE_LIMIT = 3" in str(refused.value)
 
     @pytest.mark.parametrize("kind", [SH, BZ])
@@ -875,15 +875,15 @@ class TestCandidateLimit:
         with pytest.raises(ResourceLimitError) as refused:
             scan_k_way_splits(self.GAME, 0, 3, kind)
         assert len(drawn) == 7
-        assert "weight-9 player into 3 parts gives more than 6 candidates" in str(refused.value)
+        assert "weight-9 player into 3 parts gives at least 7 candidates" in str(refused.value)
         assert "CANDIDATE_LIMIT = 6" in str(refused.value)
 
     def test_heavy_player_over_a_small_table(self, monkeypatch):
         monkeypatch.setattr(manipulation, "CANDIDATE_LIMIT", 1000)
         game = Game(5, (10**9, 3))
-        with pytest.raises(ResourceLimitError, match="gives 500000000 candidates"):
+        with pytest.raises(ResourceLimitError, match="gives at least 500000000 candidates"):
             scan_two_way_splits(game, 0, SH)
-        with pytest.raises(ResourceLimitError, match="more than"):
+        with pytest.raises(ResourceLimitError, match="gives at least 1001 candidates"):
             scan_k_way_splits(game, 0, 2, BZ)
 
 
