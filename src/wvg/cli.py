@@ -10,6 +10,7 @@ thread, so ``--threads`` changes nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -113,7 +114,10 @@ def _mc_args(p: argparse.ArgumentParser, sampling: bool = True) -> None:
         p.add_argument("--threads", type=int, default=1, help="no effect; sampling runs on one thread")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wvg`` parser, built once per process: ``parse_args`` returns a
+    new namespace on every call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="wvg",
         description="Power indices and false-name manipulation analysis "
@@ -274,25 +278,23 @@ def _cmd_scan(args) -> int:
         )
     else:
         summary = scan_k_way_splits(game, args.player, args.k, kind)
+    # only JSON lists every report, so only JSON builds their objects
     if args.format == "csv":
         sys.stdout.write(summary.to_csv())
-        return 0
-    obj = {"command": "scan", **_scan_obj(summary)}
-    _emit(
-        obj,
-        args.format,
-        lambda: (
+    elif args.format == "text":
+        best = summary.best
+        print(
             f"player {summary.player}: {summary.total_splits} splits, "
             f"{summary.beneficial} beneficial, {summary.harmful} harmful, "
             f"{summary.neutral} neutral"
             + (
-                f"\nbest: parts {summary.best.spec.parts} after "
-                f"{_frac_text(summary.best.payoff_after_total)}"
-                if summary.best
+                f"\nbest: parts {best.spec.parts} after {_frac_text(best.payoff_after_total)}"
+                if best
                 else ""
             )
-        ),
-    )
+        )
+    else:
+        print(json.dumps({"command": "scan", **_scan_obj(summary)}, indent=2))
     return 0
 
 

@@ -79,6 +79,15 @@ class SplitSpec:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise InvalidSplitError(f"every part must be a positive integer (got {p!r})")
 
+    @classmethod
+    def _unchecked(cls, player: int, parts: tuple[int, ...]) -> SplitSpec:
+        """The spec of ``parts``, a tuple of positive ints the caller
+        generated, built without ``__post_init__``'s checks."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "player", player)
+        object.__setattr__(spec, "parts", parts)
+        return spec
+
 
 @dataclass(frozen=True)
 class MergeSpec:

@@ -342,11 +342,12 @@ class SplitReports(Sequence):
     to another ``SplitReports`` or a tuple holding the same reports.
     """
 
-    __slots__ = ("player", "engine", "candidates", "before", "nums", "dens", "margin")
+    __slots__ = ("player", "engine", "candidates", "before", "nums", "dens", "margin", "bounds")
 
     def __init__(self, player, engine, candidates, before, nums, dens, margin) -> None:
         self.player, self.engine, self.candidates = player, engine, candidates
         self.before, self.nums, self.dens, self.margin = before, nums, dens, margin
+        self.bounds = _bounds(before, margin)
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -356,14 +357,15 @@ class SplitReports(Sequence):
             return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
         num = self.nums[i]
         den = self.dens if isinstance(self.dens, int) else self.dens[i]
-        hp, hq, lp, lq = _bounds(self.before, self.margin)
+        hp, hq, lp, lq = self.bounds
         if num * hq > hp * den:
             classification = Classification.BENEFICIAL
         elif num * lq < lp * den:
             classification = Classification.HARMFUL
         else:
             classification = Classification.NEUTRAL
-        spec = SplitSpec(self.player, self.candidates[i])
+        # the scan generated the parts, so they are not validated again
+        spec = SplitSpec._unchecked(self.player, self.candidates[i])
         after = Fraction(num, den)
         return SplitReport(spec, self.before, after, classification, self.engine, self.margin)
 

@@ -10,6 +10,13 @@ over the n queries.
 
 Sampling runs on one thread, in fixed-size blocks whose generators derive
 from (seed, context, block index), and dummy players estimate to exactly zero.
+The samplers make their block generator's draws directly, exactly as
+``random.shuffle`` and ``getrandbits`` would: ``shapley_mc`` shuffles with
+CPython's own rejection draws (``getrandbits((i + 1).bit_length())`` until
+the result is below i + 1, for i = n - 1 .. 1), and ``banzhaf_raw_mc`` reads
+one ``getrandbits(n - 1)`` coalition a byte at a time from tables of weight
+sums built once per call, so every seeded estimate is the one a plain
+shuffle-and-walk or bit-by-bit loop would give.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_
 
 from .errors import DegenerateNormalizationError, InvalidConfigError
 from .exact import IndexKind, IndexVector, fraction_json_obj
@@ -114,29 +122,44 @@ def _run_blocks(total: int, block_fn) -> int:
     return sum(block_fn(b, min(_BLOCK, total - b * _BLOCK)) for b in blocks)
 
 
+def _shuffles(items: list, getrandbits, count: int):
+    """Shuffle ``items`` in place ``count`` times, yielding it after each.
+
+    Makes exactly ``random.shuffle``'s draws: for i = n - 1 .. 1 it swaps
+    item i with item j = ``_randbelow(i + 1)``, which draws
+    ``getrandbits(k)``, k = (i + 1).bit_length(), until it is below i + 1.
+    """
+    steps = [(i, (i + 1).bit_length(), i + 1) for i in range(len(items) - 1, 0, -1)]
+    for _ in range(count):
+        for i, k, bound in steps:
+            j = getrandbits(k)
+            while j >= bound:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
+        yield items
+
+
 def shapley_mc(game: Game, player: int, config: McConfig, workers: int | None = None) -> McEstimate:
     """Fraction of sampled player orderings where ``player`` is critical
     for the set of its predecessors. ``workers`` is unused; perfbench passes it."""
-    n = game.num_players
     weights = game.weights
     quota = game.quota
-    wp = weights[player]
+    need = quota - weights[player]
     total = config.samples()
+    # an ordering holds the players' weights, None standing for the player
+    start = [None if p == player else w for p, w in enumerate(weights)]
 
     def block(b: int, count: int) -> int:
         rng = random.Random(derive_seed("shapley_mc", config.seed, player, b))
-        order = list(range(n))
-        shuffle = rng.shuffle
         hits = 0
-        for _ in range(count):
-            shuffle(order)
+        for order in _shuffles(start[:], rng.getrandbits, count):
             acc = 0
-            for p in order:
-                if p == player:
-                    if acc + wp >= quota:
+            for w in order:
+                if w is None:
+                    if acc >= need:
                         hits += 1
                     break
-                acc += weights[p]
+                acc += w
                 if acc >= quota:
                     break
         return hits
@@ -145,33 +168,44 @@ def shapley_mc(game: Game, player: int, config: McConfig, workers: int | None = 
     return McEstimate(Fraction(hits, total), total, KIND_SHAPLEY, config.epsilon, config.delta)
 
 
+def _byte_tables(weights: list[int]) -> list[list[int]]:
+    """Per 8 weights, the 256 (fewer for the last) sums of their subsets,
+    entry x summing the weights at the set bits of x; one empty-sum table
+    when there are no weights."""
+    tables = []
+    for first in range(0, max(len(weights), 1), 8):
+        table = [0]
+        for w in weights[first:first + 8]:
+            table += [s + w for s in table]
+        tables.append(table)
+    return tables
+
+
 def banzhaf_raw_mc(game: Game, player: int, config: McConfig, workers: int | None = None) -> McEstimate:
     """Estimate of the probability that a uniform coalition of the other
-    players is one the player is critical for. ``workers`` is unused, as above."""
+    players is one the player is critical for. ``workers`` is unused, as above.
+
+    Bit i of a sample's ``getrandbits(n - 1)`` puts the i-th other player in
+    the coalition; its weight is the sum of one table entry per byte."""
     quota = game.quota
-    wp = game.weights[player]
+    lo = quota - game.weights[player]
     others = [w for i, w in enumerate(game.weights) if i != player]
     bits = len(others)
-    lo = quota - wp
+    size = (bits + 7) // 8
+    tables = _byte_tables(others)
     total = config.samples()
 
     def block(b: int, count: int) -> int:
-        rng = random.Random(derive_seed("banzhaf_mc", config.seed, player, b))
-        getrandbits = rng.getrandbits
-        hits = 0
-        for _ in range(count):
-            if bits:
-                mask = getrandbits(bits)
-                acc = 0
-                for w in others:
-                    if mask & 1:
-                        acc += w
-                    mask >>= 1
-            else:
-                acc = 0
-            if lo <= acc < quota:
-                hits += 1
-        return hits
+        getrandbits = random.Random(derive_seed("banzhaf_mc", config.seed, player, b)).getrandbits
+        if len(tables) == 1:  # at most 8 other players: the draw is the index
+            table = tables[0]
+            sums = [table[getrandbits(bits)] for _ in range(count)]
+        else:
+            sums = [
+                sum(map(list.__getitem__, tables, getrandbits(bits).to_bytes(size, "little")))
+                for _ in range(count)
+            ]
+        return sum(map(and_, map(lo.__le__, sums), map(quota.__gt__, sums)))  # lo <= sum < quota
 
     hits = _run_blocks(total, block)
     return McEstimate(Fraction(hits, total), total, KIND_BANZHAF_RAW, config.epsilon, config.delta)

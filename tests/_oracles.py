@@ -3,14 +3,17 @@
 These never share code with the package: Shapley values walk literal
 permutations (or the subset-size form for slightly larger games), Banzhaf
 counts enumerate raw subsets. Games too large to enumerate use a plain
-list count DP (``subsets_by_dp``), run per player (``pivots_by_dp``). Tests
-compare engine output against these.
+list count DP (``subsets_by_dp``), run per player (``pivots_by_dp``). The
+samplers' reference loops (``shapley_mc_hits``, ``banzhaf_raw_mc_hits``)
+shuffle and sum bit by bit from the package's seed scheme. Tests compare
+engine output against these.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
-import random
 
 from wvg import Game
 
@@ -113,3 +116,62 @@ def random_game(rng: random.Random, max_players: int, max_weight: int, min_playe
     n = rng.randint(min_players, max_players)
     weights = tuple(rng.randint(1, max_weight) for _ in range(n))
     return Game(rng.randint(1, sum(weights)), weights)
+
+
+# The samplers as they were written before they made their generator's draws
+# directly: a ``random.shuffle`` and a walk per ordering, a bit-by-bit sum
+# per coalition. Same seeds and 4096-sample blocks, so every estimate must
+# match the package's exactly; each returns the number of hits.
+
+
+def _sampler_seed(*parts: object) -> int:
+    text = ":".join(str(p) for p in parts)
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+
+
+def _sampler_blocks(total: int, block) -> int:
+    return sum(block(b, min(4096, total - b * 4096)) for b in range((total + 4095) // 4096))
+
+
+def shapley_mc_hits(game: Game, player: int, seed: int, total: int) -> int:
+    n, weights, quota = game.num_players, game.weights, game.quota
+
+    def block(b, count):
+        rng = random.Random(_sampler_seed("shapley_mc", seed, player, b))
+        order = list(range(n))
+        hits = 0
+        for _ in range(count):
+            rng.shuffle(order)
+            acc = 0
+            for p in order:
+                if p == player:
+                    if acc + weights[p] >= quota:
+                        hits += 1
+                    break
+                acc += weights[p]
+                if acc >= quota:
+                    break
+        return hits
+
+    return _sampler_blocks(total, block)
+
+
+def banzhaf_raw_mc_hits(game: Game, player: int, seed: int, total: int) -> int:
+    quota, wp = game.quota, game.weights[player]
+    others = [w for i, w in enumerate(game.weights) if i != player]
+
+    def block(b, count):
+        rng = random.Random(_sampler_seed("banzhaf_mc", seed, player, b))
+        hits = 0
+        for _ in range(count):
+            mask = rng.getrandbits(len(others)) if others else 0
+            acc = 0
+            for w in others:
+                if mask & 1:
+                    acc += w
+                mask >>= 1
+            if acc < quota <= acc + wp:
+                hits += 1
+        return hits
+
+    return _sampler_blocks(total, block)

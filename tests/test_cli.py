@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -111,6 +112,39 @@ class TestScanCommand:
         obj = json.loads(out)
         assert obj["total_splits"] == 1
         assert obj["reports"][0]["classification"] == "harmful"
+
+    # a 12-player game whose weight-280 player has 6,533 three-way splits
+    TWELVE = "1300;280,210,190,205,230,170,185,200,220,195,215,180"
+
+    # sha256 of the output as it was when every format built the JSON object
+    @pytest.mark.parametrize(
+        "kind, fmt, digest",
+        [
+            ("shapley", "json", "6b8e179f7f6ea60df4ef7aaec8a68e7287f6bc503d6240ceef0d73dde144fb73"),
+            ("shapley", "text", "cd78a651ac17ba4fb2c75eb08e4088029fa93e667fa4a3c4ec5d4a435100fd8d"),
+            ("banzhaf", "json", "2464dfe0e36cc428b491e5476d8f77ccff9ef4c088b7e8a2eb03f52f6b8fdfa9"),
+            ("banzhaf", "text", "34d34156dfc313cb52c9115c214a0a6460927d0be2dfd9a242dcd742ab486675"),
+        ],
+    )
+    def test_three_way_scan_output_is_pinned(self, capsys, kind, fmt, digest):
+        code, out, err = run_cli(
+            capsys, "scan", "--game", self.TWELVE, "--player", "0", "--k", "3",
+            "--kind", kind, "--format", fmt,
+        )
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_text_and_csv_build_no_report_objects(self, capsys, monkeypatch, fmt):
+        def refuse(*args):
+            raise AssertionError(f"--format {fmt} built a JSON object")
+
+        monkeypatch.setattr(cli_mod, "_scan_obj", refuse)
+        monkeypatch.setattr(cli_mod, "_split_report_obj", refuse)
+        code, out, err = run_cli(
+            capsys, "scan", "--game", self.TWELVE, "--player", "0", "--k", "3", "--format", fmt
+        )
+        assert code == 0 and out and err == ""
 
     def test_k_way_refuses_monte_carlo(self, capsys):
         code, out, err = run_cli(
@@ -484,6 +518,53 @@ class TestResourceExits:
         assert got == code and out == ""
         assert err.startswith(message)
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_parser_is_built_once(self):
+        assert cli_mod.build_parser() is cli_mod.build_parser()
+
+    def test_consecutive_calls_share_no_values(self, monkeypatch):
+        seen = []
+        for name in ("index", "scan"):
+            monkeypatch.setitem(cli_mod._HANDLERS, name, lambda args: seen.append(args) or 0)
+        assert main([
+            "index", "--game", "6;2,2,2", "--kind", "banzhaf", "--engine", "mc",
+            "--seed", "9", "--samples", "50", "--threads", "3", "--format", "text",
+        ]) == 0
+        assert main(["scan", "--game", "7;3,2,2", "--player", "1", "--k", "3", "--margin", "0.1"]) == 0
+        assert main(["index", "--game", "6;2,2,2"]) == 0
+        mc_defaults = {"epsilon": "0.01", "delta": "0.01", "seed": 0, "samples": None, "threads": 1}
+        assert [vars(args) for args in seen] == [
+            {
+                "command": "index", "game": "6;2,2,2", "kind": "banzhaf", "engine": "mc",
+                **mc_defaults, "seed": 9, "samples": 50, "threads": 3, "format": "text",
+            },
+            {
+                "command": "scan", "game": "7;3,2,2", "player": 1, "kind": "shapley", "k": 3,
+                "engine": "exact", "margin": "0.1", **mc_defaults, "format": "json",
+            },
+            {
+                "command": "index", "game": "6;2,2,2", "kind": "shapley", "engine": "exact",
+                **mc_defaults, "format": "json",
+            },
+        ]
+        assert len({id(args) for args in seen}) == 3
+
+    def test_usage_errors_and_help_keep_their_exit_codes(self, capsys):
+        for _ in range(2):
+            assert main(["index"]) == 2
+            assert main(["index", "--game", "6;2,2,2", "--format", "yaml"]) == 2
+            assert main(["--help"]) == 0
+            assert main(["scan", "--help"]) == 0
+            assert main(["index", "--game", "6;2,2,2", "--format", "text"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("usage: wvg [-h]") == 2
+        assert captured.out.count("usage: wvg scan [-h]") == 2
+        assert captured.out.count("player 0: 1/3") == 2
+        assert captured.err.count("usage: wvg index") == 4
 
 
 class TestDeterminism:

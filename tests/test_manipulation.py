@@ -577,6 +577,28 @@ class TestSplitReports:
         assert pickle.loads(pickle.dumps(scan)) == scan
 
 
+    @pytest.mark.parametrize("kind", [SH, BZ], ids=["shapley", "banzhaf"])
+    def test_reading_reports_validates_nothing_again(self, kind, monkeypatch):
+        scan = scan_k_way_splits(self.GAME, 0, 3, kind)
+        bounds_calls = []
+        bounds = manipulation._bounds
+        monkeypatch.setattr(manipulation, "_bounds", lambda *a: bounds_calls.append(a) or bounds(*a))
+
+        def refuse(spec):
+            raise AssertionError("a read report validated its parts again")
+
+        monkeypatch.setattr(SplitSpec, "__post_init__", refuse)
+        listed = list(scan.reports) + list(scan.reports)
+        assert bounds_calls == []  # the bounds were computed once, with the scan
+        monkeypatch.undo()
+        specs = [SplitSpec(0, r.spec.parts) for r in listed]
+        assert [r.spec for r in listed] == specs
+        assert [hash(r.spec) for r in listed] == list(map(hash, specs))
+        assert all(type(r.spec.parts) is tuple for r in listed)
+        with pytest.raises(InvalidSplitError):
+            SplitSpec(0, (3, 0))  # user-built specs are still checked
+
+
 class TestFindSplitApprox:
     def test_finds_clear_gain(self):
         spec = find_split_approx(Game(6, (2, 2, 2)), 2, "0.02", "0.01", seed=4)

@@ -1,9 +1,13 @@
-"""Sampling estimators: sample counts, determinism, and the error contract."""
+"""Sampling estimators: sample counts, determinism, the error contract and the
+samplers' draws, which match a plain shuffle or bit loop on the same seeds."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wvg import (
     DegenerateNormalizationError,
@@ -18,6 +22,9 @@ from wvg import (
     shapley_enumerate,
     shapley_mc,
 )
+from wvg.montecarlo import _shuffles
+
+from _oracles import banzhaf_raw_mc_hits, shapley_mc_hits
 
 
 class TestSampleSize:
@@ -151,3 +158,70 @@ class TestErrorContract:
         vec = banzhaf_mc(game, cfg)
         for i in range(n):
             assert abs(vec[i] - exact_norm[i]) <= 2 * eps * n / s
+
+
+def _game_for(weights, quota_rule, rng):
+    total = sum(weights)
+    quota = {"one": 1, "total": total, "random": rng.randint(1, total)}[quota_rule]
+    return Game(quota, tuple(weights))
+
+
+def _assert_reference_estimates(game, player, seed, samples):
+    cfg = McConfig("0.1", "0.1", seed=seed, sample_count_override=samples)
+    shapley, banzhaf = shapley_mc(game, player, cfg), banzhaf_raw_mc(game, player, cfg)
+    assert shapley.value == Fraction(shapley_mc_hits(game, player, seed, samples), samples)
+    assert banzhaf.value == Fraction(banzhaf_raw_mc_hits(game, player, seed, samples), samples)
+    assert shapley.samples_used == banzhaf.samples_used == samples
+
+
+class TestSameStream:
+    """The samplers make exactly the draws of a ``random.shuffle`` per
+    ordering and one ``getrandbits(n - 1)`` per coalition, so every seeded
+    estimate equals the reference loops' in ``tests/_oracles.py``."""
+
+    @pytest.mark.parametrize("n", range(31))
+    def test_shuffles_match_random_shuffle(self, n):
+        for seed in range(25):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = [order[:] for order in _shuffles(list(range(n)), ours.getrandbits, 6)]
+            expected = []
+            items = list(range(n))
+            for _ in range(6):
+                theirs.shuffle(items)
+                expected.append(items[:])
+            assert got == expected
+            assert ours.getstate() == theirs.getstate()  # the same number of draws
+
+    # n - 1 coalition bits: 0, 7, 8, 9, 16, 17 and 24 (one to four table bytes)
+    @pytest.mark.parametrize("n", [1, 8, 9, 10, 17, 18, 25])
+    @pytest.mark.parametrize("quota_rule", ["one", "total", "random"])
+    def test_estimates_match_the_reference_loops(self, n, quota_rule):
+        rng = random.Random(n)
+        game = _game_for([rng.randint(1, 40) for _ in range(n)], quota_rule, rng)
+        for player in {0, n // 2, n - 1}:
+            _assert_reference_estimates(game, player, seed=n, samples=4096 + 37)
+
+    @pytest.mark.parametrize(
+        "game, player",
+        [
+            (Game(20, (10, 10, 10, 1)), 3),  # a dummy player
+            (Game(20, (10,) * 9 + (1,)), 9),  # a dummy beside nine table bits
+            (Game(12, (12, 3, 4, 5, 1, 2, 3, 4, 5, 6)), 0),  # the quota alone
+            (Game(7, (30,) + (2,) * 16), 0),  # heavier than the quota, 16 bits
+        ],
+    )
+    def test_dummy_and_heavy_players(self, game, player):
+        _assert_reference_estimates(game, player, seed=7, samples=999)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 60), min_size=1, max_size=25),
+        quota_rule=st.sampled_from(["one", "total", "random"]),
+        data=st.data(),
+        seed=st.integers(0, 2**64 - 1),
+        samples=st.one_of(st.integers(1, 300), st.integers(4090, 4200)),
+    )
+    def test_estimates_match_the_reference_loops_property(self, weights, quota_rule, data, seed, samples):
+        game = _game_for(weights, quota_rule, random.Random(seed))
+        player = data.draw(st.integers(0, len(weights) - 1))
+        _assert_reference_estimates(game, player, seed, samples)
